@@ -33,23 +33,16 @@ class AugSpec:
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
-            raise ConfigError(f"unknown augmentation kind {self.kind!r}")
+            raise ConfigError(f"unknown augmentation kind {self.kind!r}", field="kind")
         if self.kind in MIXING_KINDS and not self.alpha > 0:
-            raise ConfigError(f"alpha must be > 0 for {self.kind}, got {self.alpha}")
+            raise ConfigError(f"alpha must be > 0 for {self.kind}, got {self.alpha}",
+                              field="alpha")
         if not 0.0 <= self.mask_fraction <= 1.0:
-            raise ConfigError(f"mask_fraction must be in [0,1], got {self.mask_fraction}")
+            raise ConfigError(f"mask_fraction must be in [0,1], got {self.mask_fraction}",
+                              field="mask_fraction")
         if not 0.0 <= self.shift_fraction_max <= 1.0:
-            raise ConfigError(f"shift_fraction_max must be in [0,1], got {self.shift_fraction_max}")
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "mask_fraction": self.mask_fraction,
-            "shift_fraction_max": self.shift_fraction_max,
-            "degree_range": self.degree_range,
-            "pad": self.pad,
-        }
+            raise ConfigError(f"shift_fraction_max must be in [0,1], got {self.shift_fraction_max}",
+                              field="shift_fraction_max")
 
 
 @dataclass
@@ -221,18 +214,6 @@ def flip_horizontal(batch, do_flip):
     do_flip = np.asarray(do_flip, dtype=bool)
     out[do_flip] = out[do_flip, :, :, ::-1]
     return out
-
-
-def standard_input_augs(batch, rng, pad=4):
-    """Random crop with zero padding followed by per-sample horizontal flip."""
-    batch = np.asarray(batch)
-    b = batch.shape[0]
-    out = np.empty_like(batch)
-    for s in range(b):
-        ox = int(rng.integers(0, 2 * pad + 1))
-        oy = int(rng.integers(0, 2 * pad + 1))
-        out[s] = crop_shifted(batch[s : s + 1], pad, ox, oy)[0]
-    return flip_horizontal(out, rng.random(b) < 0.5)
 
 
 def apply_at_position(spec, features, labels, rng, position=0):

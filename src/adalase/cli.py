@@ -17,13 +17,6 @@ from .trainer import audit_worst_layer, train
 KD_SWEEP_VALUES = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("ADALASE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def _load(args):
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
@@ -138,7 +131,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -1,31 +1,23 @@
 """Experiment configuration: strict JSON parsing, presets, and object assembly.
 
 Configs are a nested key tree. Unknown keys are rejected with their dotted
-path; values are type-checked and range-checked before anything runs.
+path; values are type-checked and range-checked before anything runs. The
+``train`` subtree is derived from the ``TrainConfig`` dataclass: its defaults
+are the dataclass defaults and its checks are the dataclass validators.
 """
 
 import copy
+import dataclasses
 import json
 import os
 
-from .augment import ALL_KINDS, AugSpec
 from .data import (gen_synthetic, load_cifar_bin, load_idx, load_raw,
                    split_dataset, subsample)
 from .engine.builders import build_network
 from .errors import ConfigError
-from .ratios import SCHEDULE_SHAPES, AdaLaseConfig, RatioSchedule
 from .trainer import Splits, TrainConfig
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
-
-_AUG_DEFAULTS = {
-    "kind": "none",
-    "alpha": 1.0,
-    "mask_fraction": 0.5,
-    "shift_fraction_max": 0.2,
-    "degree_range": 10.0,
-    "pad": 4,
-}
 
 DEFAULTS = {
     "preset": "",
@@ -55,27 +47,7 @@ DEFAULTS = {
         "width": 8,
         "init_checkpoint": "",
     },
-    "train": {
-        "epochs": 20,
-        "batch_size": 64,
-        "base_lr": 0.1,
-        "momentum": 0.9,
-        "seed": 0,
-        "val_mode": "pseudo",
-        "probe": False,
-        "ratio_updates": True,
-        "update_cadence": "epoch",
-        "eval_batch_size": 256,
-        "schedule": {"shape": "adaptive", "fixed_index": 0},
-        "train_aug": dict(_AUG_DEFAULTS, kind="mixup"),
-        "pseudo_val_aug": dict(_AUG_DEFAULTS, kind="rotation"),
-        "adalase": {
-            "eta": 1.0,
-            "avg_window": 1,
-            "d_scale": 0.1,
-            "dot_normalization": "raw",
-        },
-    },
+    "train": dataclasses.asdict(TrainConfig()),
 }
 
 
@@ -94,6 +66,29 @@ def _merge_strict(defaults, user, path=""):
                 raise ConfigError(f"expected {type(defaults[key]).__name__} at {dotted!r}")
             out[key] = value
     return out
+
+
+def _build(cls, tree, path):
+    """Construct dataclass ``cls`` from its merged subtree at dotted ``path``.
+
+    Values are coerced to each field's declared type. A rejected value raises
+    ConfigError naming its full dotted path.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        value, dotted = tree[f.name], f"{path}.{f.name}"
+        if dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _build(f.type, value, dotted)
+        elif isinstance(value, (int, float) if f.type in (int, float) else f.type):
+            kwargs[f.name] = f.type(value)
+        else:
+            raise ConfigError(f"expected {f.type.__name__}, got {value!r}", field=dotted)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        # validators name their field relative to some parent; keep the last part
+        name = exc.field.rsplit(".", 1)[-1] if exc.field else None
+        raise ConfigError(exc.reason, field=f"{path}.{name}" if name else path) from None
 
 
 def _check(cond, message, field):
@@ -124,27 +119,7 @@ def validate_config(raw):
         for f in path_fields:
             _check(bool(ds[f]), f"{f} is required for kind {ds['kind']!r}", f"dataset.{f}")
             _check(os.path.exists(ds[f]), f"path does not exist: {ds[f]}", f"dataset.{f}")
-    tr = cfg["train"]
-    _check(tr["epochs"] >= 1, "epochs must be >= 1", "train.epochs")
-    _check(tr["batch_size"] >= 1, "batch_size must be >= 1", "train.batch_size")
-    _check(tr["base_lr"] > 0, "base_lr must be > 0", "train.base_lr")
-    _check(0 <= tr["momentum"] < 1, "momentum must be in [0,1)", "train.momentum")
-    _check(tr["val_mode"] in ("pseudo", "true"), "val_mode must be 'pseudo' or 'true'",
-           "train.val_mode")
-    _check(tr["update_cadence"] in ("epoch", "window"),
-           "update_cadence must be 'epoch' or 'window'", "train.update_cadence")
-    _check(tr["schedule"]["shape"] in SCHEDULE_SHAPES,
-           f"unknown schedule shape {tr['schedule']['shape']!r}", "train.schedule.shape")
-    ada = tr["adalase"]
-    _check(ada["eta"] > 0, "adalase.eta must be > 0", "train.adalase.eta")
-    _check(ada["avg_window"] >= 1, "avg_window must be >= 1", "train.adalase.avg_window")
-    _check(0 < ada["d_scale"] < 1, "d_scale must be in (0,1)", "train.adalase.d_scale")
-    _check(ada["dot_normalization"] in ("raw", "cosine"),
-           "dot_normalization must be 'raw' or 'cosine'", "train.adalase.dot_normalization")
-    for aug_key in ("train_aug", "pseudo_val_aug"):
-        kind = tr[aug_key]["kind"]
-        _check(kind in ALL_KINDS, f"unknown augmentation kind {kind!r}",
-               f"train.{aug_key}.kind")
+    make_train_config(cfg)
     mdl = cfg["model"]
     _check(mdl["kind"] in ("mlp", "tiny_cnn"), f"unknown model kind {mdl['kind']!r}",
            "model.kind")
@@ -174,35 +149,8 @@ def load_config(path_or_preset):
     return validate_config(raw)
 
 
-def _aug_from_cfg(d):
-    return AugSpec(kind=d["kind"], alpha=float(d["alpha"]),
-                   mask_fraction=float(d["mask_fraction"]),
-                   shift_fraction_max=float(d["shift_fraction_max"]),
-                   degree_range=float(d["degree_range"]), pad=int(d["pad"]))
-
-
 def make_train_config(cfg):
-    tr = cfg["train"]
-    return TrainConfig(
-        epochs=int(tr["epochs"]),
-        batch_size=int(tr["batch_size"]),
-        base_lr=float(tr["base_lr"]),
-        momentum=float(tr["momentum"]),
-        schedule=RatioSchedule(shape=tr["schedule"]["shape"],
-                               fixed_index=int(tr["schedule"]["fixed_index"])),
-        train_aug=_aug_from_cfg(tr["train_aug"]),
-        pseudo_val_aug=_aug_from_cfg(tr["pseudo_val_aug"]),
-        adalase=AdaLaseConfig(eta=float(tr["adalase"]["eta"]),
-                              avg_window=int(tr["adalase"]["avg_window"]),
-                              d_scale=float(tr["adalase"]["d_scale"]),
-                              dot_normalization=tr["adalase"]["dot_normalization"]),
-        seed=int(tr["seed"]),
-        val_mode=tr["val_mode"],
-        probe=bool(tr["probe"]),
-        ratio_updates=bool(tr["ratio_updates"]),
-        update_cadence=tr["update_cadence"],
-        eval_batch_size=int(tr["eval_batch_size"]),
-    )
+    return _build(TrainConfig, cfg["train"], "train")
 
 
 def make_splits(cfg):
@@ -213,21 +161,20 @@ def make_splits(cfg):
         train, val, test = split_dataset(full, int(ds["train_count"]),
                                          int(ds["val_count"]), int(ds["test_count"]),
                                          int(ds["seed"]))
-    elif ds["kind"] == "idx":
-        train = load_idx(ds["images_path"], ds["labels_path"])
-        test = load_idx(ds["test_images_path"], ds["test_labels_path"])
+    else:
+        if ds["kind"] == "idx":
+            train = load_idx(ds["images_path"], ds["labels_path"])
+            test = load_idx(ds["test_images_path"], ds["test_labels_path"])
+        else:
+            load = load_cifar_bin if ds["kind"] == "cifar" else load_raw
+            train, test = load(ds["path"]), load(ds["test_path"])
         val = None
         if ds["val_count"]:
+            _check(0 < ds["val_count"] < len(train),
+                   f"val_count must be in [0, {len(train)}), the training file's row count",
+                   "dataset.val_count")
             train, val, _ = split_dataset(train, len(train) - int(ds["val_count"]),
                                           int(ds["val_count"]), 0, int(ds["seed"]))
-    elif ds["kind"] == "cifar":
-        train = load_cifar_bin(ds["path"])
-        test = load_cifar_bin(ds["test_path"])
-        val = None
-    else:
-        train = load_raw(ds["path"])
-        test = load_raw(ds["test_path"])
-        val = None
     if ds["subsample_count"]:
         train = subsample(train, int(ds["subsample_count"]), int(ds["subsample_seed"]))
     return Splits(train=train, test=test, val=val)

@@ -12,16 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augment import apply_at_position
+from .augment import MIXING_KINDS, apply_at_position
 from .engine.losses import one_hot
 from .errors import ConfigError, DataFormatError, PolicyError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 3073
-
-INPUT_AUG_KINDS = ("none", "rotation", "random_crop", "horizontal_flip",
-                   "cutout", "translation")
 
 
 @dataclass
@@ -236,7 +233,7 @@ def batch_iter(ds, batch_size, seed, epoch):
 
 def pseudo_val_batch(ds, batch_size, aug, rng):
     """Fresh training-set draw with an input-space augmentation applied at P0."""
-    if aug.kind not in INPUT_AUG_KINDS:
+    if aug.kind in MIXING_KINDS:
         raise PolicyError(f"pseudo-validation augmentation must be input-space, "
                           f"got {aug.kind!r}")
     idx = rng.choice(len(ds), size=min(batch_size, len(ds)), replace=False)

@@ -2,12 +2,10 @@ from .builders import build_mlp, build_network, build_tiny_cnn
 from .checkpoint import load_weights, save_weights
 from .layers import Conv2d, Dense, GlobalAvgPool, MaxPool2x2, ReLU, ResidualBlock
 from .losses import cross_entropy, grad_dot, one_hot
-from .network import Network, backward, finite_diff_grad, forward_with_tap
+from .network import Network, finite_diff_grad
 
 __all__ = [
     "Network",
-    "forward_with_tap",
-    "backward",
     "finite_diff_grad",
     "cross_entropy",
     "grad_dot",

@@ -45,17 +45,22 @@ def col2im(cols, x_shape, k, stride, pad, ho, wo):
 
 
 class Layer:
-    """Base layer. Parameters and their gradient slots are declared in order."""
+    """Base layer. ``param_names`` lists parameter attributes in declaration
+    order; the gradient of parameter ``w`` lives in ``gw``."""
 
-    def param_items(self):
-        return []
+    param_names = ()
 
-    def grad_items(self):
-        return []
+    def declare_affine(self, out_features, fan_in, rng, dtype, bias):
+        """Declare weight ``w`` (out_features, fan_in) and optional bias ``b``."""
+        self.w = _uniform_init(rng, (out_features, fan_in), fan_in, dtype)
+        self.b = np.zeros(out_features, dtype=dtype) if bias else None
+        self.param_names = ("w", "b") if bias else ("w",)
+        for name in self.param_names:
+            setattr(self, "g" + name, np.zeros_like(getattr(self, name)))
 
-    def zero_grad(self):
-        for _, g in self.grad_items():
-            g[:] = 0
+    def param_slots(self):
+        """(checkpoint name, owning layer, attribute) for each parameter, in order."""
+        return [(name, self, name) for name in self.param_names]
 
     def forward(self, x):
         raise NotImplementedError
@@ -68,23 +73,8 @@ class Dense(Layer):
     def __init__(self, in_features, out_features, rng, dtype=np.float64, bias=True):
         self.in_features = in_features
         self.out_features = out_features
-        self.w = _uniform_init(rng, (out_features, in_features), in_features, dtype)
-        self.gw = np.zeros_like(self.w)
-        self.b = np.zeros(out_features, dtype=dtype) if bias else None
-        self.gb = np.zeros_like(self.b) if bias else None
+        self.declare_affine(out_features, in_features, rng, dtype, bias)
         self._x2 = None
-
-    def param_items(self):
-        items = [("w", self.w)]
-        if self.b is not None:
-            items.append(("b", self.b))
-        return items
-
-    def grad_items(self):
-        items = [("w", self.gw)]
-        if self.b is not None:
-            items.append(("b", self.gb))
-        return items
 
     def forward(self, x):
         b = x.shape[0]
@@ -118,23 +108,7 @@ class Conv2d(Layer):
         self.kernel = kernel
         self.stride = stride
         self.pad = pad
-        fan_in = in_channels * kernel * kernel
-        self.w = _uniform_init(rng, (out_channels, fan_in), fan_in, dtype)
-        self.gw = np.zeros_like(self.w)
-        self.b = np.zeros(out_channels, dtype=dtype) if bias else None
-        self.gb = np.zeros_like(self.b) if bias else None
-
-    def param_items(self):
-        items = [("w", self.w)]
-        if self.b is not None:
-            items.append(("b", self.b))
-        return items
-
-    def grad_items(self):
-        items = [("w", self.gw)]
-        if self.b is not None:
-            items.append(("b", self.gb))
-        return items
+        self.declare_affine(out_channels, in_channels * kernel * kernel, rng, dtype, bias)
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
@@ -204,15 +178,9 @@ class ResidualBlock(Layer):
         self.conv2 = Conv2d(channels, channels, 3, rng, pad=1, dtype=dtype)
         self.relu2 = ReLU()
 
-    def param_items(self):
-        return [("conv1." + n, p) for n, p in self.conv1.param_items()] + [
-            ("conv2." + n, p) for n, p in self.conv2.param_items()
-        ]
-
-    def grad_items(self):
-        return [("conv1." + n, g) for n, g in self.conv1.grad_items()] + [
-            ("conv2." + n, g) for n, g in self.conv2.grad_items()
-        ]
+    def param_slots(self):
+        return [(f"{conv}.{name}", owner, attr) for conv in ("conv1", "conv2")
+                for name, owner, attr in getattr(self, conv).param_slots()]
 
     def forward(self, x):
         h = self.relu1.forward(self.conv1.forward(x))

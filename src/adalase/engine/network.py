@@ -1,7 +1,5 @@
 """Layer stack with augmentation tap positions and reverse-mode gradients."""
 
-import copy
-
 import numpy as np
 
 from ..errors import ShapeError, StateError, TapRangeError
@@ -12,8 +10,10 @@ class Network:
     """Ordered layers plus tap positions P0..P(K-1) where augmentation may inject.
 
     A tap index k marks the activation entering ``layers[taps[k]]``; tap 0 is
-    always the input. Parameters flatten to a single vector in declaration
-    order, which fixes the FlatGrad layout for a given topology.
+    always the input. All parameters live in one flat buffer ``theta`` and all
+    gradients in ``grad``, in declaration order: every layer's ``w``/``b`` and
+    ``gw``/``gb`` are reshaped views into them, so the layout of the flat
+    gradient is fixed by the topology.
     """
 
     def __init__(self, layers, taps):
@@ -29,52 +29,41 @@ class Network:
         self.layers = layers
         self.taps = taps
         self._forward_ready = False
+        self._slots = [(f"layer{i}.{name}", owner, attr) for i, layer in enumerate(layers)
+                       for name, owner, attr in layer.param_slots()]
+        params = [getattr(owner, attr) for _, owner, attr in self._slots]
+        self.theta = np.concatenate([p.ravel() for p in params]) if params else np.zeros(0)
+        self.grad = np.zeros_like(self.theta)
+        offset = 0
+        for (_, owner, attr), p in zip(self._slots, params):
+            end = offset + p.size
+            setattr(owner, attr, self.theta[offset:end].reshape(p.shape))
+            setattr(owner, "g" + attr, self.grad[offset:end].reshape(p.shape))
+            offset = end
 
     @property
     def num_taps(self):
         return len(self.taps)
 
-    # ---- parameter plumbing -------------------------------------------------
+    # ---- flat parameter buffer ----------------------------------------------
 
     def named_params(self):
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.param_items():
-                yield f"layer{i}.{name}", p
+        return [(name, getattr(owner, attr)) for name, owner, attr in self._slots]
 
     def num_params(self):
-        return sum(p.size for _, p in self.named_params())
+        return self.theta.size
 
     def param_vector(self):
-        parts = [p.ravel() for _, p in self.named_params()]
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        return self.theta.copy()
 
     def set_param_vector(self, vec):
         vec = np.asarray(vec)
-        if vec.size != self.num_params():
-            raise ShapeError(f"expected {self.num_params()} params, got {vec.size}")
-        offset = 0
-        for _, p in self.named_params():
-            p[:] = vec[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        if vec.size != self.theta.size:
+            raise ShapeError(f"expected {self.theta.size} params, got {vec.size}")
+        self.theta[:] = vec.ravel()
 
     def grad_vector(self):
-        parts = []
-        for layer in self.layers:
-            for _, g in layer.grad_items():
-                parts.append(g.ravel().copy())
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grad()
-
-    def clone(self):
-        self._forward_ready = False
-        return copy.deepcopy(self)
+        return self.grad.copy()
 
     # ---- forward / backward -------------------------------------------------
 
@@ -128,7 +117,7 @@ class Network:
         """Reverse pass for the last forward_with_tap; returns the flat gradient."""
         if not self._forward_ready:
             raise StateError("backward called before forward_with_tap")
-        self.zero_grads()
+        self.grad.fill(0)
         g = self._dlogits.reshape(self._logits_shape)
         for i in range(len(self.layers) - 1, -1, -1):
             g = self.layers[i].backward(g)
@@ -136,14 +125,6 @@ class Network:
                 g = self._aug_grad_fn(g)
         self._forward_ready = False
         return self.grad_vector()
-
-
-def forward_with_tap(net, x, labels, tap=None, aug=None, rng=None):
-    return net.forward_with_tap(x, labels, tap=tap, aug=aug, rng=rng)
-
-
-def backward(net):
-    return net.backward()
 
 
 def finite_diff_grad(net, x, labels, eps=1e-5, tap=None, aug=None, rng_seed=None):

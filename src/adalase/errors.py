@@ -21,6 +21,7 @@ class ConfigError(AdalaseError):
     """Invalid configuration value. Carries a dotted field path when known."""
 
     def __init__(self, message, field=None):
+        self.reason = message
         if field:
             message = f"{field}: {message}"
         super().__init__(message)

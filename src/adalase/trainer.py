@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .augment import AugSpec
+from .augment import MIXING_KINDS, AugSpec
 from .data import batch_iter, pseudo_val_batch
 from .engine.losses import cross_entropy, grad_dot, one_hot
 from .errors import AuditError, ConfigError
@@ -51,12 +51,12 @@ def sgd_momentum_step(net, grads, opt):
         raise ConfigError(f"gradient length {grads.shape} != velocity {opt.velocity.shape}")
     opt.velocity *= opt.momentum
     opt.velocity += grads
-    net.set_param_vector(net.param_vector() - opt.current_lr * opt.velocity)
+    net.theta -= opt.current_lr * opt.velocity
 
 
 @dataclass
 class TrainConfig:
-    epochs: int = 30
+    epochs: int = 20
     batch_size: int = 64
     base_lr: float = 0.1
     momentum: float = 0.9
@@ -75,7 +75,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1", field="epochs")
-        if self.batch_size < 2 and self.train_aug.kind in ("mixup", "cutmix"):
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1", field="batch_size")
+        if not self.base_lr > 0:
+            raise ConfigError("base_lr must be > 0", field="base_lr")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("momentum must be in [0,1)", field="momentum")
+        if self.batch_size < 2 and self.train_aug.kind in MIXING_KINDS:
             raise ConfigError("batch_size must be >= 2 for mixing augmentations",
                               field="batch_size")
         if self.val_mode not in ("pseudo", "true"):
@@ -199,6 +205,8 @@ def train(net, splits, cfg, train_seed=None):
     train_set = splits.train
     if len(train_set) == 0:
         raise ConfigError("training dataset is empty")
+    if len(splits.test) == 0:
+        raise ConfigError("test dataset is empty")
     seed = cfg.seed if train_seed is None else train_seed
     num_classes = train_set.num_classes
     iters_per_epoch = math.ceil(len(train_set) / cfg.batch_size)

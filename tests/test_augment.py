@@ -6,8 +6,7 @@ import pytest
 
 from adalase.augment import (AugSpec, apply_at_position, crop_shifted, cutmix,
                              cutout, flip_horizontal, mixup, rotate_sample,
-                             rotation, shift_sample, standard_input_augs,
-                             translation)
+                             rotation, shift_sample, translation)
 from adalase.engine.losses import one_hot
 from adalase.errors import (ConfigError, DegenerateBatchError, PolicyError,
                             ShapeError)
@@ -207,11 +206,6 @@ def test_flip_reverses_width():
 def test_center_crop_after_pad_is_identity(rng):
     x = rng.normal(size=(2, 1, 4, 4))
     assert np.array_equal(crop_shifted(x, 1, 1, 1), x)
-
-
-def test_standard_input_augs_shape_preserved(rng):
-    x = rng.normal(size=(5, 3, 8, 8))
-    assert standard_input_augs(x, rng, pad=2).shape == x.shape
 
 
 # ---- position dispatch ------------------------------------------------------

@@ -2,13 +2,20 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from adalase.cli import main
-from adalase.config import list_presets, load_config, validate_config
+from adalase.config import (list_presets, load_config, make_network, make_splits,
+                            validate_config)
+from adalase.data import gen_synthetic, save_raw
+from adalase.engine.checkpoint import save_weights
 from adalase.errors import ConfigError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MINIMAL = {
     "dataset": {"kind": "synthetic", "synthetic_kind": "striped_patches",
@@ -45,7 +52,26 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"train.adalase.eta": -1})
     assert main(["validate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "adalase.eta must be > 0" in err
+    assert "train.adalase.eta: eta must be > 0" in err
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"train.momentum": 1.0}, "train.momentum"),
+    ({"train.base_lr": 0}, "train.base_lr"),
+    ({"train.batch_size": 1, "train.train_aug.kind": "mixup"}, "train.batch_size"),
+    ({"train.train_aug.mask_fraction": 1.5}, "train.train_aug.mask_fraction"),
+    ({"train.schedule.shape": "spiral"}, "train.schedule.shape"),
+    ({"train.adalase.d_scale": 1.0}, "train.adalase.d_scale"),
+])
+def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
+    assert main(["validate", "--config", write_config(tmp_path, overrides)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_wrong_value_type_is_a_field_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"train.epochs": "ten"})
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: train.epochs: expected int")
 
 
 def test_unknown_key_named_in_error(tmp_path, capsys):
@@ -66,6 +92,35 @@ def test_missing_dataset_path_rejected(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # no partial outputs
+
+
+def test_raw_dataset_honours_val_count(tmp_path):
+    save_raw(gen_synthetic("striped_patches", 100, seed=0, side=4), str(tmp_path / "tr.raw"))
+    save_raw(gen_synthetic("striped_patches", 20, seed=1, side=4), str(tmp_path / "te.raw"))
+    cfg = load_config(write_config(tmp_path, {"dataset.kind": "raw",
+                                              "dataset.path": str(tmp_path / "tr.raw"),
+                                              "dataset.test_path": str(tmp_path / "te.raw"),
+                                              "dataset.val_count": 30}))
+    splits = make_splits(cfg)
+    assert (len(splits.train), len(splits.val), len(splits.test)) == (70, 30, 20)
+    assert splits.val.split == "val"
+    cfg["dataset"]["val_count"] = 100
+    with pytest.raises(ConfigError, match="dataset.val_count"):
+        make_splits(cfg)
+
+
+def test_init_checkpoint_loads_into_flat_buffer(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    splits = make_splits(cfg)
+    donor = make_network(cfg, splits, seed=5)
+    path = str(tmp_path / "init.adlw")
+    save_weights(donor, path)
+    assert not np.array_equal(make_network(cfg, splits).theta, donor.theta)
+    net = make_network(load_config(write_config(tmp_path, {"model.init_checkpoint": path},
+                                                name="init.json")), splits)
+    assert np.array_equal(net.theta, donor.theta)
+    for _, p in net.named_params():
+        assert np.shares_memory(p, net.theta)
 
 
 def test_presets_all_load():
@@ -128,6 +183,14 @@ def test_uniform_schedule_selection_histogram_is_flat(tmp_path):
     assert abs(freq[0] - 0.5) < 0.05
 
 
+def test_empty_test_split_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dataset.test_count": 0})
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "test dataset is empty" in capsys.readouterr().err
+    assert not out.exists()  # no partial outputs
+
+
 # ---- audit command ----------------------------------------------------------------
 
 def test_audit_rows_are_ranged_and_reproducible(tmp_path):
@@ -178,10 +241,28 @@ def test_sweep_bounds_constrain_trajectories(tmp_path):
 
 # ---- env plumbing ----------------------------------------------------------------
 
-def test_thread_cap_env_propagates(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("ADALASE_THREADS", "1")
-    cfg = write_config(tmp_path)
-    main(["validate", "--config", cfg])
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+@pytest.fixture(scope="module")
+def capped_child():
+    """Import ``adalase.cli`` in a fresh interpreter with ADALASE_THREADS=1 and
+    no BLAS caps set; returns its OMP_NUM_THREADS and the OpenBLAS thread count
+    (None when no thread-count symbol is found), read back as the benchmark does."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["ADALASE_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"), env.get("PYTHONPATH", "")])
+    code = ("import json, os, adalase.cli, envinfo; "
+            "print(json.dumps([os.environ.get('OMP_NUM_THREADS'), envinfo.blas_threads()]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_thread_cap_env_propagates(capped_child):
+    assert capped_child[0] == "1"
+
+
+def test_thread_cap_reaches_openblas(capped_child):
+    if capped_child[1] is None:
+        pytest.skip("no OpenBLAS thread-count symbol found")
+    assert capped_child[1] == 1

@@ -82,7 +82,6 @@ def test_dense_linear_gradient_is_input():
     layer = Dense(2, 3, rng, bias=False)
     x = np.array([1.0, 2.0]).reshape(1, 2, 1, 1)
     layer.forward(x)
-    layer.zero_grad()
     layer.backward(np.ones((1, 3, 1, 1)))
     assert np.allclose(layer.gw, np.array([[1.0, 2.0]] * 3))
 
@@ -224,6 +223,19 @@ def test_param_vector_round_trip(rng):
     assert np.array_equal(net.param_vector(), vec)
     with pytest.raises(ShapeError):
         net.set_param_vector(vec[:-1])
+
+
+def test_layer_weights_and_grads_are_views_of_flat_buffers(rng):
+    net = tiny_cnn(2)
+    conv = net.layers[2].conv2
+    assert np.shares_memory(conv.w, net.theta) and np.shares_memory(conv.gw, net.grad)
+    net.forward_with_tap(rng.normal(size=(2, 1, 6, 6)), one_hot([0, 1], 2))
+    g = net.backward()
+    names = [name for name, _ in net.named_params()]
+    offset = sum(p.size for _, p in net.named_params()[:names.index("layer2.conv2.w")])
+    assert np.array_equal(g[offset : offset + conv.gw.size], conv.gw.ravel())
+    net.set_param_vector(np.zeros(net.num_params()))
+    assert not conv.w.any()
 
 
 # ---- gradient oracle --------------------------------------------------------

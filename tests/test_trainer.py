@@ -167,6 +167,19 @@ def test_ratio_history_has_one_snapshot_per_epoch_plus_init():
     assert np.allclose(result.ratio_history[0], [0.5, 0.5])
 
 
+def test_window_cadence_stays_on_bounded_simplex():
+    splits = small_splits()
+    ada = AdaLaseConfig(eta=0.5, avg_window=2)
+    window = train(tiny_mlp(15), splits, quick_config(update_cadence="window", adalase=ada))
+    epoch = train(tiny_mlp(15), splits, quick_config(adalase=ada))
+    d = window.final_ratios.d
+    for q in window.ratio_history:
+        assert sum(q) == pytest.approx(1.0, abs=1e-9)
+        assert d - 1e-12 <= min(q) and max(q) <= 1.0 - d + 1e-12
+    assert window.ratio_history[-1] != window.ratio_history[0]
+    assert window.ratio_history != epoch.ratio_history
+
+
 def test_empty_training_set_rejected():
     splits = small_splits()
     empty = Splits(train=split_dataset(splits.train, 0, 0, 0, 0)[0],
