@@ -5,6 +5,11 @@ applies unchanged at any tap resolution. Mask locations, shifts, and paste
 regions are always shared across the channels of a sample. Each mixing or
 masking kernel also hands back a grad_fn that routes an upstream gradient
 through the (frozen) transform, treating the sampled parameters as constants.
+
+Kernels are batched: rotation, shift and crop are one zero-filled gather
+(``_remap``); cutout and cutmix boxes are one mask (``_boxes``). Parameters
+are drawn in per-sample order, so a seeded stream yields the same outcome
+and end state as a sample-by-sample loop.
 """
 
 from dataclasses import dataclass, field
@@ -82,20 +87,22 @@ def mixup(batch, labels, alpha, rng, lam=None):
     return AugOutcome(out, mixed, lam, grad_fn)
 
 
-def _anchor(rng, span):
+def _boxes(rng, b, h, w, rh, rw):
+    """Boolean (b,1,h,w) mask of one rh x rw box per sample; an empty box draws nothing."""
+    if rh == 0 or rw == 0:
+        return np.zeros((b, 1, h, w), dtype=bool)
     # fraction-first draw keeps anchor geometry resolution-independent
-    return min(int(rng.random() * (span + 1)), span)
+    spans = np.array([h - rh, w - rw])
+    top, left = np.minimum((rng.random((b, 2)) * (spans + 1)).astype(np.int64), spans).T
+    rows = (np.arange(h) >= top[:, None]) & (np.arange(h) < top[:, None] + rh)
+    cols = (np.arange(w) >= left[:, None]) & (np.arange(w) < left[:, None] + rw)
+    return rows[:, None, :, None] & cols[:, None, None, :]
 
 
 def _cutout_masked(batch, mask_fraction, rng):
     b, _, h, w = batch.shape
     side = int(round(mask_fraction * min(h, w)))
-    keep = np.ones((b, 1, h, w), dtype=batch.dtype)
-    if side > 0:
-        for s in range(b):
-            top = _anchor(rng, h - side)
-            left = _anchor(rng, w - side)
-            keep[s, 0, top : top + side, left : left + side] = 0.0
+    keep = (~_boxes(rng, b, h, w, side, side)).astype(batch.dtype)
     return batch * keep, keep
 
 
@@ -116,31 +123,33 @@ def _sample_shifts(batch_size, shift_fraction_max, h, w, rng):
     return shifts
 
 
-def shift_sample(img, dx, dy):
-    """Rigid shift of one (C,H,W) map with zero padding."""
-    out = np.zeros_like(img)
-    _, h, w = img.shape
-    if abs(dx) >= w or abs(dy) >= h:
-        return out
-    y0, y1 = max(0, dy), h + min(0, dy)
-    x0, x1 = max(0, dx), w + min(0, dx)
-    out[:, y0:y1, x0:x1] = img[:, max(0, -dy) : h + min(0, -dy), max(0, -dx) : w + min(0, -dx)]
-    return out
+def _remap(batch, sy, sx):
+    """Gather ``out[s,:,y,x] = batch[s,:,sy,sx]``; zero where the source is off the map.
+
+    ``sy`` and ``sx`` are integer source coordinates that broadcast together to
+    (b,h,w). Values are copied, never multiplied, so signs and NaNs pass through
+    exactly.
+    """
+    b, c, h, w = batch.shape
+    valid = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+    src = np.where(valid, sy * w + sx, 0).reshape(b, 1, h * w)
+    out = np.take_along_axis(batch.reshape(b, c, h * w), src, axis=2).reshape(b, c, h, w)
+    return np.where(valid[:, None], out, 0)
 
 
-def _translation_shifted(batch, shift_fraction_max, rng):
-    b, _, h, w = batch.shape
-    shifts = _sample_shifts(b, shift_fraction_max, h, w, rng)
-    out = np.empty_like(batch)
-    for s, (dx, dy) in enumerate(shifts):
-        out[s] = shift_sample(batch[s], dx, dy)
-    return out, shifts
+def shift(batch, dx, dy):
+    """Rigid per-sample shift by (dx[s], dy[s]) pixels with zero padding."""
+    _, _, h, w = batch.shape
+    dx, dy = np.reshape(dx, (-1, 1, 1)), np.reshape(dy, (-1, 1, 1))
+    return _remap(batch, np.arange(h)[:, None] - dy, np.arange(w) - dx)
 
 
 def translation(batch, shift_fraction_max, rng):
     """Per-sample signed rigid shift with zero padding, shared across channels."""
-    out, _ = _translation_shifted(np.asarray(batch), shift_fraction_max, rng)
-    return out
+    batch = np.asarray(batch)
+    b, _, h, w = batch.shape
+    dx, dy = np.transpose(_sample_shifts(b, shift_fraction_max, h, w, rng))
+    return shift(batch, dx, dy)
 
 
 def cutmix(batch, labels, alpha, rng, lam=None):
@@ -154,12 +163,7 @@ def cutmix(batch, labels, alpha, rng, lam=None):
     perm = rng.permutation(b)
     rh = int(round(h * np.sqrt(1.0 - lam)))
     rw = int(round(w * np.sqrt(1.0 - lam)))
-    paste = np.zeros((b, 1, h, w), dtype=batch.dtype)
-    if rh > 0 and rw > 0:
-        for s in range(b):
-            top = _anchor(rng, h - rh)
-            left = _anchor(rng, w - rw)
-            paste[s, 0, top : top + rh, left : left + rw] = 1.0
+    paste = _boxes(rng, b, h, w, rh, rw).astype(batch.dtype)
     lam_eff = 1.0 - (rh * rw) / (h * w)
     out = batch * (1.0 - paste) + batch[perm] * paste
     mixed = lam_eff * labels + (1.0 - lam_eff) * labels[perm]
@@ -172,40 +176,24 @@ def cutmix(batch, labels, alpha, rng, lam=None):
     return AugOutcome(out, mixed, lam_eff, grad_fn)
 
 
-def rotate_sample(img, degrees):
-    """Nearest-neighbor rotation of one square (C,H,W) map about its center."""
-    _, h, w = img.shape
+def rotate(batch, degrees):
+    """Nearest-neighbor rotation of each square map about its center by ``degrees[s]``."""
+    _, _, h, w = batch.shape
     if h != w:
         raise ShapeError(f"rotation requires square spatial dims, got {h}x{w}")
-    theta = np.deg2rad(degrees)
+    theta = np.reshape(np.deg2rad(degrees), (-1, 1, 1))
     c = (h - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    yy, xx = np.arange(h)[:, None], np.arange(w)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     sy = c + (yy - c) * cos_t + (xx - c) * sin_t
     sx = c - (yy - c) * sin_t + (xx - c) * cos_t
-    syi = np.rint(sy).astype(np.int64)
-    sxi = np.rint(sx).astype(np.int64)
-    valid = (syi >= 0) & (syi < h) & (sxi >= 0) & (sxi < w)
-    out = np.zeros_like(img)
-    out[:, valid] = img[:, syi[valid], sxi[valid]]
-    return out
+    return _remap(batch, np.rint(sy).astype(np.int64), np.rint(sx).astype(np.int64))
 
 
 def rotation(batch, degree_range, rng):
     """Per-sample rotation by a uniform angle in [-degree_range, +degree_range]."""
     batch = np.asarray(batch)
-    out = np.empty_like(batch)
-    for s in range(batch.shape[0]):
-        angle = float(rng.uniform(-degree_range, degree_range))
-        out[s] = rotate_sample(batch[s], angle)
-    return out
-
-
-def crop_shifted(batch, pad, ox, oy):
-    """Zero-pad by ``pad`` then crop back at offset (ox, oy); (pad, pad) is identity."""
-    b, c, h, w = batch.shape
-    padded = np.pad(batch, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    return padded[:, :, oy : oy + h, ox : ox + w]
+    return rotate(batch, rng.uniform(-degree_range, degree_range, size=batch.shape[0]))
 
 
 def flip_horizontal(batch, do_flip):
@@ -238,25 +226,15 @@ def apply_at_position(spec, features, labels, rng, position=0):
         out, keep = _cutout_masked(features, spec.mask_fraction, rng)
         return AugOutcome(out, labels, 1.0, lambda g: g * keep)
     if kind == "translation":
-        out, shifts = _translation_shifted(features, spec.shift_fraction_max, rng)
-
-        def grad_fn(g):
-            gx = np.empty_like(g)
-            for s, (dx, dy) in enumerate(shifts):
-                gx[s] = shift_sample(g[s], -dx, -dy)
-            return gx
-
-        return AugOutcome(out, labels, 1.0, grad_fn)
+        b, _, h, w = features.shape
+        dx, dy = np.transpose(_sample_shifts(b, spec.shift_fraction_max, h, w, rng))
+        return AugOutcome(shift(features, dx, dy), labels, 1.0, lambda g: shift(g, -dx, -dy))
     if kind == "rotation":
         return AugOutcome(rotation(features, spec.degree_range, rng), labels, 1.0, None)
     if kind == "random_crop":
-        b = features.shape[0]
-        out = np.empty_like(features)
-        for s in range(b):
-            ox = int(rng.integers(0, 2 * spec.pad + 1))
-            oy = int(rng.integers(0, 2 * spec.pad + 1))
-            out[s] = crop_shifted(features[s : s + 1], spec.pad, ox, oy)[0]
-        return AugOutcome(out, labels, 1.0, None)
+        # zero-pad by ``pad`` and crop back at offset (ox, oy): a shift by (pad-ox, pad-oy)
+        ox, oy = rng.integers(0, 2 * spec.pad + 1, size=(features.shape[0], 2)).T
+        return AugOutcome(shift(features, spec.pad - ox, spec.pad - oy), labels, 1.0, None)
     if kind == "horizontal_flip":
         out = flip_horizontal(features, rng.random(features.shape[0]) < 0.5)
         return AugOutcome(out, labels, 1.0, None)

@@ -62,8 +62,13 @@ def _merge_strict(defaults, user, path=""):
                 raise ConfigError(f"expected an object at {dotted!r}")
             out[key] = _merge_strict(defaults[key], value, dotted)
         else:
-            if isinstance(defaults[key], bool) != isinstance(value, bool):
-                raise ConfigError(f"expected {type(defaults[key]).__name__} at {dotted!r}")
+            # a number fits a float default; only a JSON integer fits an int default
+            default = defaults[key]
+            allowed = (int, float) if type(default) is float else type(default)
+            if (not isinstance(value, allowed)
+                    or isinstance(value, bool) != isinstance(default, bool)):
+                raise ConfigError(f"expected {type(default).__name__}, got {value!r}",
+                                  field=dotted)
             out[key] = value
     return out
 
@@ -71,18 +76,17 @@ def _merge_strict(defaults, user, path=""):
 def _build(cls, tree, path):
     """Construct dataclass ``cls`` from its merged subtree at dotted ``path``.
 
-    Values are coerced to each field's declared type. A rejected value raises
-    ConfigError naming its full dotted path.
+    ``tree`` has passed ``_merge_strict``'s type rule; values are coerced to
+    each field's declared type. A rejected value raises ConfigError naming its
+    full dotted path.
     """
     kwargs = {}
     for f in dataclasses.fields(cls):
         value, dotted = tree[f.name], f"{path}.{f.name}"
         if dataclasses.is_dataclass(f.type):
             kwargs[f.name] = _build(f.type, value, dotted)
-        elif isinstance(value, (int, float) if f.type in (int, float) else f.type):
-            kwargs[f.name] = f.type(value)
         else:
-            raise ConfigError(f"expected {f.type.__name__}, got {value!r}", field=dotted)
+            kwargs[f.name] = f.type(value)
     try:
         return cls(**kwargs)
     except ConfigError as exc:
@@ -156,11 +160,10 @@ def make_train_config(cfg):
 def make_splits(cfg):
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        full = gen_synthetic(ds["synthetic_kind"], int(ds["n"]), int(ds["seed"]),
-                             side=int(ds["side"]), noise=float(ds["noise"]))
-        train, val, test = split_dataset(full, int(ds["train_count"]),
-                                         int(ds["val_count"]), int(ds["test_count"]),
-                                         int(ds["seed"]))
+        full = gen_synthetic(ds["synthetic_kind"], ds["n"], ds["seed"], side=ds["side"],
+                             noise=ds["noise"])
+        train, val, test = split_dataset(full, ds["train_count"], ds["val_count"],
+                                         ds["test_count"], ds["seed"])
     else:
         if ds["kind"] == "idx":
             train = load_idx(ds["images_path"], ds["labels_path"])
@@ -173,17 +176,17 @@ def make_splits(cfg):
             _check(0 < ds["val_count"] < len(train),
                    f"val_count must be in [0, {len(train)}), the training file's row count",
                    "dataset.val_count")
-            train, val, _ = split_dataset(train, len(train) - int(ds["val_count"]),
-                                          int(ds["val_count"]), 0, int(ds["seed"]))
+            train, val, _ = split_dataset(train, len(train) - ds["val_count"],
+                                          ds["val_count"], 0, ds["seed"])
     if ds["subsample_count"]:
-        train = subsample(train, int(ds["subsample_count"]), int(ds["subsample_seed"]))
+        train = subsample(train, ds["subsample_count"], ds["subsample_seed"])
     return Splits(train=train, test=test, val=val)
 
 
 def make_network(cfg, splits, seed=None):
     from .engine.checkpoint import load_weights
 
-    tr_seed = int(cfg["train"]["seed"]) if seed is None else seed
+    tr_seed = cfg["train"]["seed"] if seed is None else seed
     net = build_network(cfg["model"], splits.train.input_shape,
                         splits.train.num_classes, tr_seed)
     if cfg["model"]["init_checkpoint"]:

@@ -47,11 +47,10 @@ def build_tiny_cnn(input_shape, num_classes, seed, width=8, dtype=np.float64):
 
 
 def build_network(model_cfg, input_shape, num_classes, seed, dtype=np.float64):
-    kind = model_cfg.get("kind", "mlp")
+    kind = model_cfg["kind"]
     if kind == "mlp":
-        return build_mlp(input_shape, int(model_cfg.get("hidden", 36)), num_classes,
-                         seed, dtype=dtype)
+        return build_mlp(input_shape, model_cfg["hidden"], num_classes, seed, dtype=dtype)
     if kind == "tiny_cnn":
-        return build_tiny_cnn(input_shape, num_classes, seed,
-                              width=int(model_cfg.get("width", 8)), dtype=dtype)
+        return build_tiny_cnn(input_shape, num_classes, seed, width=model_cfg["width"],
+                              dtype=dtype)
     raise ValueError(f"unknown model kind {kind!r}")

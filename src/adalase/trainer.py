@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .augment import MIXING_KINDS, AugSpec
+from .augment import INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec
 from .data import batch_iter, pseudo_val_batch
 from .engine.losses import cross_entropy, grad_dot, one_hot
 from .errors import AuditError, ConfigError
@@ -84,6 +84,15 @@ class TrainConfig:
         if self.batch_size < 2 and self.train_aug.kind in MIXING_KINDS:
             raise ConfigError("batch_size must be >= 2 for mixing augmentations",
                               field="batch_size")
+        input_only_ok = (self.schedule.shape == "fixed" and self.schedule.fixed_index == 0
+                         and not self.probe)
+        if self.train_aug.kind in INPUT_ONLY_KINDS and not input_only_ok:
+            # any other schedule, or a probe, applies train_aug at a hidden position
+            raise ConfigError(f"{self.train_aug.kind} is input-only; it needs schedule "
+                              "'fixed' with fixed_index 0 and no probe", field="train_aug")
+        if self.pseudo_val_aug.kind in MIXING_KINDS:
+            raise ConfigError(f"pseudo-validation augmentation must be input-space, "
+                              f"got {self.pseudo_val_aug.kind!r}", field="pseudo_val_aug")
         if self.val_mode not in ("pseudo", "true"):
             raise ConfigError("val_mode must be 'pseudo' or 'true'", field="val_mode")
         if self.update_cadence not in ("epoch", "window"):

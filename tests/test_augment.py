@@ -4,9 +4,9 @@ label-convexity, and degenerate-identity properties."""
 import numpy as np
 import pytest
 
-from adalase.augment import (AugSpec, apply_at_position, crop_shifted, cutmix,
-                             cutout, flip_horizontal, mixup, rotate_sample,
-                             rotation, shift_sample, translation)
+from adalase.augment import (AugSpec, apply_at_position, cutmix, cutout,
+                             flip_horizontal, mixup, rotate, rotation, shift,
+                             translation)
 from adalase.engine.losses import one_hot
 from adalase.errors import (ConfigError, DegenerateBatchError, PolicyError,
                             ShapeError)
@@ -99,18 +99,24 @@ def test_cutout_mask_shared_across_channels(rng):
 # ---- translation ------------------------------------------------------------
 
 def test_shift_zero_is_identity(rng):
-    img = rng.normal(size=(2, 3, 3))
-    assert np.array_equal(shift_sample(img, 0, 0), img)
+    x = rng.normal(size=(3, 2, 3, 3))
+    assert np.array_equal(shift(x, [0, 0, 0], [0, 0, 0]), x)
 
 
 def test_shift_by_one_pixel():
-    img = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 4)
-    assert np.allclose(shift_sample(img, 1, 0).ravel(), [0.0, 1.0, 2.0, 3.0])
+    x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 1, 4)
+    assert np.allclose(shift(x, [1], [0]).ravel(), [0.0, 1.0, 2.0, 3.0])
 
 
 def test_shift_beyond_map_is_all_zero():
-    img = np.ones((1, 2, 2))
-    assert np.all(shift_sample(img, 3, 0) == 0)
+    x = np.ones((2, 1, 2, 2))
+    assert np.all(shift(x, [3, 0], [0, -2]) == 0)
+
+
+def test_shift_is_per_sample():
+    x = np.arange(8.0).reshape(2, 1, 1, 4)
+    out = shift(x, [1, -1], [0, 0])
+    assert np.array_equal(out[:, 0, 0], [[0.0, 0.0, 1.0, 2.0], [5.0, 6.0, 7.0, 0.0]])
 
 
 def test_translation_mass_inequality(rng):
@@ -170,19 +176,26 @@ def test_cutmix_rejects_single_sample(rng):
 # ---- rotation ---------------------------------------------------------------
 
 def test_rotation_zero_angle_is_identity(rng):
-    img = rng.normal(size=(2, 5, 5))
-    assert np.array_equal(rotate_sample(img, 0.0), img)
+    x = rng.normal(size=(3, 2, 5, 5))
+    assert np.array_equal(rotate(x, [0.0, 0.0, 0.0]), x)
 
 
 def test_rotation_180_reverses_grid():
-    img = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2)
-    assert np.allclose(rotate_sample(img, 180.0)[0], [[4.0, 3.0], [2.0, 1.0]])
+    x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+    assert np.allclose(rotate(x, [180.0])[0, 0], [[4.0, 3.0], [2.0, 1.0]])
 
 
 def test_rotation_90_permutes_pixels(rng):
-    img = rng.normal(size=(1, 6, 6))
-    out = rotate_sample(img, 90.0)
-    assert np.allclose(np.sort(out.ravel()), np.sort(img.ravel()))
+    x = rng.normal(size=(1, 1, 6, 6))
+    out = rotate(x, [90.0])
+    assert np.allclose(np.sort(out.ravel()), np.sort(x.ravel()))
+
+
+def test_rotation_angle_is_per_sample(rng):
+    x = rng.normal(size=(2, 1, 4, 4))
+    out = rotate(x, [0.0, 180.0])
+    assert np.array_equal(out[0], x[0])
+    assert np.array_equal(out[1], x[1, :, ::-1, ::-1])
 
 
 def test_rotation_rejects_non_square(rng):
@@ -203,9 +216,22 @@ def test_flip_reverses_width():
     assert np.allclose(flip_horizontal(x, [True]).ravel(), [3.0, 2.0, 1.0])
 
 
-def test_center_crop_after_pad_is_identity(rng):
+def test_random_crop_without_pad_is_identity(rng):
     x = rng.normal(size=(2, 1, 4, 4))
-    assert np.array_equal(crop_shifted(x, 1, 1, 1), x)
+    labels = one_hot([0, 1], 2)
+    out = apply_at_position(AugSpec(kind="random_crop", pad=0), x, labels, rng)
+    assert np.array_equal(out.tensor, x)
+
+
+def test_random_crop_sample_is_a_bounded_shift(rng):
+    pad = 2
+    x = rng.normal(size=(16, 2, 5, 5))
+    out = apply_at_position(AugSpec(kind="random_crop", pad=pad), x,
+                            one_hot(np.zeros(16, dtype=int), 2), rng).tensor
+    offsets = [(dx, dy) for dx in range(-pad, pad + 1) for dy in range(-pad, pad + 1)]
+    for s in range(16):
+        assert any(np.array_equal(out[s : s + 1], shift(x[s : s + 1], [dx], [dy]))
+                   for dx, dy in offsets)
 
 
 # ---- position dispatch ------------------------------------------------------
@@ -256,3 +282,144 @@ def test_label_convexity_property(rng):
         assert np.all(out.labels >= -1e-12)
         assert np.allclose(out.labels.sum(axis=1), 1.0, atol=1e-6)
         assert 0.0 <= out.lam <= 1.0
+
+
+# ---- oracle: the per-sample loops the batched kernels replaced ----------------
+#
+# These are the sample-by-sample kernels as they stood before batching. The
+# batched kernels must reproduce them bit for bit, including where the rng
+# stream is left after the call.
+
+def _ref_anchor(rng, span):
+    return min(int(rng.random() * (span + 1)), span)
+
+
+def _ref_shift_sample(img, dx, dy):
+    out = np.zeros_like(img)
+    _, h, w = img.shape
+    if abs(dx) >= w or abs(dy) >= h:
+        return out
+    y0, y1 = max(0, dy), h + min(0, dy)
+    x0, x1 = max(0, dx), w + min(0, dx)
+    out[:, y0:y1, x0:x1] = img[:, max(0, -dy) : h + min(0, -dy), max(0, -dx) : w + min(0, -dx)]
+    return out
+
+
+def _ref_rotate_sample(img, degrees):
+    _, h, w = img.shape
+    theta = np.deg2rad(degrees)
+    c = (h - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    sy = c + (yy - c) * cos_t + (xx - c) * sin_t
+    sx = c - (yy - c) * sin_t + (xx - c) * cos_t
+    syi = np.rint(sy).astype(np.int64)
+    sxi = np.rint(sx).astype(np.int64)
+    valid = (syi >= 0) & (syi < h) & (sxi >= 0) & (sxi < w)
+    out = np.zeros_like(img)
+    out[:, valid] = img[:, syi[valid], sxi[valid]]
+    return out
+
+
+def _ref_crop_shifted(batch, pad, ox, oy):
+    _, _, h, w = batch.shape
+    padded = np.pad(batch, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    return padded[:, :, oy : oy + h, ox : ox + w]
+
+
+def _ref_apply(spec, x, labels, rng):
+    """(tensor, labels, lam, grad_fn) of the per-sample kernels for one spec."""
+    b, _, h, w = x.shape
+    if spec.kind == "cutout":
+        side = int(round(spec.mask_fraction * min(h, w)))
+        keep = np.ones((b, 1, h, w), dtype=x.dtype)
+        if side > 0:
+            for s in range(b):
+                top = _ref_anchor(rng, h - side)
+                left = _ref_anchor(rng, w - side)
+                keep[s, 0, top : top + side, left : left + side] = 0.0
+        return x * keep, labels, 1.0, lambda g: g * keep
+    if spec.kind == "cutmix":
+        lam = float(rng.beta(spec.alpha, spec.alpha))
+        perm = rng.permutation(b)
+        rh = int(round(h * np.sqrt(1.0 - lam)))
+        rw = int(round(w * np.sqrt(1.0 - lam)))
+        paste = np.zeros((b, 1, h, w), dtype=x.dtype)
+        if rh > 0 and rw > 0:
+            for s in range(b):
+                top = _ref_anchor(rng, h - rh)
+                left = _ref_anchor(rng, w - rw)
+                paste[s, 0, top : top + rh, left : left + rw] = 1.0
+        lam_eff = 1.0 - (rh * rw) / (h * w)
+
+        def cutmix_grad(g):
+            gx = g * (1.0 - paste)
+            np.add.at(gx, perm, g * paste)
+            return gx
+
+        return (x * (1.0 - paste) + x[perm] * paste,
+                lam_eff * labels + (1.0 - lam_eff) * labels[perm], lam_eff, cutmix_grad)
+    if spec.kind == "translation":
+        shifts = []
+        for _ in range(b):
+            fx = float(rng.uniform(0.0, spec.shift_fraction_max))
+            fy = float(rng.uniform(0.0, spec.shift_fraction_max))
+            sx = 1 if rng.integers(0, 2) else -1
+            sy = 1 if rng.integers(0, 2) else -1
+            shifts.append((sx * int(round(fx * w)), sy * int(round(fy * h))))
+
+        def shift_all(t, sign):
+            out = np.empty_like(t)
+            for s, (dx, dy) in enumerate(shifts):
+                out[s] = _ref_shift_sample(t[s], sign * dx, sign * dy)
+            return out
+
+        return shift_all(x, 1), labels, 1.0, lambda g: shift_all(g, -1)
+    out = np.empty_like(x)
+    for s in range(b):
+        if spec.kind == "rotation":
+            angle = float(rng.uniform(-spec.degree_range, spec.degree_range))
+            out[s] = _ref_rotate_sample(x[s], angle)
+        else:  # random_crop
+            ox = int(rng.integers(0, 2 * spec.pad + 1))
+            oy = int(rng.integers(0, 2 * spec.pad + 1))
+            out[s] = _ref_crop_shifted(x[s : s + 1], spec.pad, ox, oy)[0]
+    return out, labels, 1.0, None
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ORACLE_KINDS = ("cutout", "cutmix", "rotation", "translation", "random_crop")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_batched_kernels_match_per_sample_oracle(kind, dtype):
+    cases = np.random.default_rng([ORACLE_KINDS.index(kind), np.dtype(dtype).itemsize])
+    for case in range(300):
+        b, c = int(cases.integers(2, 7)), int(cases.integers(1, 4))
+        h = int(cases.integers(1, 10))
+        w = h if kind == "rotation" else int(cases.integers(1, 10))
+        x = cases.normal(size=(b, c, h, w)).astype(dtype)
+        x.flat[cases.integers(0, x.size, size=2)] = [np.nan, -0.0]
+        labels = one_hot(cases.integers(0, 3, size=b), 3)
+        spec = AugSpec(kind=kind, alpha=float(cases.uniform(0.2, 2.0)),
+                       mask_fraction=float(cases.uniform(0.0, 1.0)),
+                       shift_fraction_max=float(cases.uniform(0.0, 1.0)),
+                       degree_range=float(cases.choice([10.0, 45.0, 180.0, 720.0])),
+                       pad=int(cases.integers(0, 5)))
+        new_rng, ref_rng = (np.random.default_rng([case, 7]) for _ in range(2))
+        got = apply_at_position(spec, x, labels, new_rng)
+        ref_x, ref_labels, ref_lam, ref_grad = _ref_apply(spec, x, labels, ref_rng)
+        where = f"{kind} {np.dtype(dtype).name} case {case} shape {x.shape}"
+        assert _same_bits(got.tensor, ref_x), where
+        assert _same_bits(got.labels, ref_labels), where
+        assert got.lam == ref_lam, where
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, where
+        if ref_grad is None:
+            assert got.grad_fn is None, where
+        else:
+            g = cases.normal(size=x.shape).astype(dtype)
+            assert _same_bits(got.grad_fn(g), ref_grad(g)), where

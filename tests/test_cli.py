@@ -62,6 +62,10 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"train.train_aug.mask_fraction": 1.5}, "train.train_aug.mask_fraction"),
     ({"train.schedule.shape": "spiral"}, "train.schedule.shape"),
     ({"train.adalase.d_scale": 1.0}, "train.adalase.d_scale"),
+    ({"train.train_aug.kind": "rotation"}, "train.train_aug"),
+    ({"train.train_aug.kind": "random_crop", "train.schedule.shape": "fixed",
+      "train.probe": True}, "train.train_aug"),
+    ({"train.pseudo_val_aug.kind": "mixup"}, "train.pseudo_val_aug"),
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
     assert main(["validate", "--config", write_config(tmp_path, overrides)]) == 2
@@ -72,6 +76,25 @@ def test_wrong_value_type_is_a_field_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"train.epochs": "ten"})
     assert main(["validate", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: train.epochs: expected int")
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"dataset.n": "abc"}, "dataset.n"),
+    ({"train.epochs": 2.5}, "train.epochs"),
+    ({"dataset.n": 1200.7}, "dataset.n"),
+    ({"model.hidden": "36"}, "model.hidden"),
+])
+def test_value_must_have_its_defaults_json_type(tmp_path, capsys, overrides, field):
+    assert main(["validate", "--config", write_config(tmp_path, overrides)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
+
+
+def test_input_only_train_aug_validates_at_the_input_position(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"train.train_aug.kind": "rotation",
+                                  "train.schedule.shape": "fixed"})
+    assert main(["validate", "--config", cfg]) == 0
+    effective = json.loads(capsys.readouterr().out)
+    assert effective["train"]["schedule"]["fixed_index"] == 0
 
 
 def test_unknown_key_named_in_error(tmp_path, capsys):
