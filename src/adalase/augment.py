@@ -48,6 +48,11 @@ class AugSpec:
         if not 0.0 <= self.shift_fraction_max <= 1.0:
             raise ConfigError(f"shift_fraction_max must be in [0,1], got {self.shift_fraction_max}",
                               field="shift_fraction_max")
+        if not self.degree_range >= 0.0:
+            raise ConfigError(f"degree_range must be >= 0, got {self.degree_range}",
+                              field="degree_range")
+        if self.pad < 0:
+            raise ConfigError(f"pad must be >= 0, got {self.pad}", field="pad")
 
 
 @dataclass

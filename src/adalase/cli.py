@@ -9,7 +9,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .engine.checkpoint import save_weights
-from .errors import AdalaseError
+from .errors import AdalaseError, ConfigError
 from .reporting import (content_hash, write_audit_csv, write_manifest,
                         write_metrics_csv, write_ratio_csv)
 from .trainer import audit_worst_layer, train
@@ -54,6 +54,8 @@ def cmd_train(args):
 
 
 def cmd_audit(args):
+    if args.runs < 1:
+        raise ConfigError(f"must be >= 1, got {args.runs}", field="--runs")
     cfg = _load(args)
     cfg["train"]["probe"] = True
     splits = cfgmod.make_splits(cfg)

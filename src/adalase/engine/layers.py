@@ -16,32 +16,16 @@ def _uniform_init(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def im2col(x, k, stride, pad):
-    """Unfold (B,C,H,W) into (B, C*k*k, Ho*Wo) patches."""
+def im2col(x, k, pad):
+    """Unfold (B,C,H,W) into (B, C*k*k, Ho*Wo) stride-1 patches of the
+    zero-padded map; returns the patches and (Ho, Wo)."""
     b, c, h, w = x.shape
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv kernel {k} does not fit input {h}x{w} with pad {pad}")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(b, c * k * k, ho * wo), ho, wo
-
-
-def col2im(cols, x_shape, k, stride, pad, ho, wo):
-    """Fold patch gradients back onto the (padded) input, accumulating overlaps."""
-    b, c, h, w = x_shape
-    cols = cols.reshape(b, c, k, k, ho, wo)
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(k):
-        for j in range(k):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if pad:
-        return xp[:, :, pad : pad + h, pad : pad + w]
-    return xp
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo), ho, wo
 
 
 class Layer:
@@ -101,36 +85,38 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    def __init__(self, in_channels, out_channels, kernel, rng, stride=1, pad=0,
+    """Stride-1 convolution. The input gradient is itself a convolution: the
+    output gradient, padded by ``kernel-1-pad``, against the kernel flipped in
+    space and transposed in channels, so one ``im2col`` serves both passes."""
+
+    def __init__(self, in_channels, out_channels, kernel, rng, pad=0,
                  dtype=np.float64, bias=True):
+        if not 0 <= pad < kernel:
+            raise ShapeError(f"conv pad must be in [0, {kernel}), got {pad}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        self.stride = stride
         self.pad = pad
         self.declare_affine(out_channels, in_channels * kernel * kernel, rng, dtype, bias)
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
             raise ShapeError(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
-        cols, ho, wo = im2col(x, self.kernel, self.stride, self.pad)
-        self._cols = cols
-        self._x_shape = x.shape
-        self._ho, self._wo = ho, wo
-        y = np.einsum("of,bfp->bop", self.w, cols)
+        self._cols, ho, wo = im2col(x, self.kernel, self.pad)
+        y = self.w @ self._cols
         if self.b is not None:
             y = y + self.b[None, :, None]
         return y.reshape(x.shape[0], self.out_channels, ho, wo)
 
     def backward(self, gy):
-        b = gy.shape[0]
-        g = gy.reshape(b, self.out_channels, self._ho * self._wo)
-        self.gw += np.einsum("bop,bfp->of", g, self._cols)
+        b, o, ho, wo = gy.shape
+        c, k = self.in_channels, self.kernel
+        self.gw += np.tensordot(gy.reshape(b, o, ho * wo), self._cols, ([0, 2], [0, 2]))
         if self.b is not None:
-            self.gb += g.sum(axis=(0, 2))
-        gcols = np.einsum("of,bop->bfp", self.w, g)
-        return col2im(gcols, self._x_shape, self.kernel, self.stride, self.pad,
-                      self._ho, self._wo)
+            self.gb += gy.sum(axis=(0, 2, 3))
+        gcols, h, w = im2col(gy, k, k - 1 - self.pad)
+        flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return (flipped.reshape(c, o * k * k) @ gcols).reshape(b, c, h, w)
 
 
 class ReLU(Layer):

@@ -127,9 +127,8 @@ def adalase_update(ratios, l, dot, cfg):
 
 
 def averaged_update(ratios, window_buffer, cfg):
-    """Apply one update per position using the mean dot of its buffered entries."""
-    if not window_buffer:
-        return ratios
+    """Apply one update per position using the mean dot of its buffered entries
+    (so a window of one entry is bitwise ``adalase_update``)."""
     sums = {}
     counts = {}
     for l, dot in window_buffer:
@@ -138,15 +137,20 @@ def averaged_update(ratios, window_buffer, cfg):
             continue
         sums[l] = sums.get(l, 0.0) + dot
         counts[l] = counts.get(l, 0) + 1
-    if not sums:
-        return ratios
-    if len(sums) == 1:
-        (l, total), = sums.items()
-        return adalase_update(ratios, l, total / counts[l], cfg)
     d = ratios.d
     q = ratios.q.tolist()
+    updated = False
     for l in sorted(sums):
-        q[l] = min(max(q[l] + cfg.eta * sums[l] / counts[l], d), 1.0 - d)
+        if not 0 <= l < len(q):
+            raise ConfigError(f"position {l} out of range for {len(q)} ratios")
+        mean = sums[l] / counts[l]
+        if not np.isfinite(mean):
+            log.warning("rejecting non-finite ratio update (dot=%r) at position %d", mean, l)
+            continue
+        q[l] = min(max(q[l] + cfg.eta * mean, d), 1.0 - d)
+        updated = True
+    if not updated:
+        return ratios
     return replace(ratios, q=np.array(_renormalize(q, d)))
 
 

@@ -66,6 +66,9 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"train.train_aug.kind": "random_crop", "train.schedule.shape": "fixed",
       "train.probe": True}, "train.train_aug"),
     ({"train.pseudo_val_aug.kind": "mixup"}, "train.pseudo_val_aug"),
+    ({"train.pseudo_val_aug.kind": "random_crop", "train.pseudo_val_aug.pad": -1},
+     "train.pseudo_val_aug.pad"),
+    ({"train.pseudo_val_aug.degree_range": -5.0}, "train.pseudo_val_aug.degree_range"),
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
     assert main(["validate", "--config", write_config(tmp_path, overrides)]) == 2
@@ -230,6 +233,15 @@ def test_audit_rows_are_ranged_and_reproducible(tmp_path):
         assert 0.0 <= float(y) <= 1.0
         assert int(n_all) > 0
     assert (out_a / "audit.csv").read_bytes() == (out_b / "audit.csv").read_bytes()
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_audit_rejects_fewer_than_one_run(tmp_path, capsys, runs):
+    out = tmp_path / "audit"
+    cfg = write_config(tmp_path)
+    assert main(["audit", "--config", cfg, "--runs", runs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --runs: must be >= 1, got {runs}")
+    assert not out.exists()
 
 
 # ---- lower-limit sweep ----------------------------------------------------------------

@@ -122,16 +122,14 @@ def test_maxpool_floor_shapes_and_first_max_ties():
     assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0  # first element wins the tie
 
 
-@pytest.mark.parametrize("h,w,k,stride,pad", [
-    (5, 5, 3, 1, 0), (6, 7, 3, 2, 1), (4, 4, 2, 2, 0), (8, 5, 3, 1, 2),
+@pytest.mark.parametrize("h,w,k,pad", [
+    (5, 5, 3, 0), (6, 7, 3, 1), (4, 4, 2, 0), (8, 5, 3, 2), (3, 5, 1, 0),
 ])
-def test_conv_output_shape_floor_formula(h, w, k, stride, pad):
+def test_conv_output_shape_floor_formula(h, w, k, pad):
     rng = np.random.default_rng(0)
-    conv = Conv2d(2, 3, k, rng, stride=stride, pad=pad)
+    conv = Conv2d(2, 3, k, rng, pad=pad)
     out = conv.forward(rng.normal(size=(2, 2, h, w)))
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    assert out.shape == (2, 3, ho, wo)
+    assert out.shape == (2, 3, h + 2 * pad - k + 1, w + 2 * pad - k + 1)
 
 
 def test_conv_kernel_too_large_raises():
@@ -139,6 +137,64 @@ def test_conv_kernel_too_large_raises():
     conv = Conv2d(1, 1, 5, rng)
     with pytest.raises(ShapeError):
         conv.forward(np.zeros((1, 1, 3, 3)))
+
+
+@pytest.mark.parametrize("pad", [-1, 3, 4])
+def test_conv_pad_outside_kernel_raises(pad):
+    with pytest.raises(ShapeError):
+        Conv2d(1, 1, 3, np.random.default_rng(0), pad=pad)
+
+
+# Reference conv: the looped im2col/col2im and einsum passes that Conv2d used
+# before its input gradient became a flipped-kernel convolution.
+
+def _looped_im2col(x, k, pad):
+    b, c, h, w = x.shape
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((b, c, k, k, ho, wo), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i : i + ho, j : j + wo]
+    return cols.reshape(b, c * k * k, ho * wo), ho, wo
+
+
+def _looped_col2im(cols, x_shape, k, pad, ho, wo):
+    b, c, h, w = x_shape
+    cols = cols.reshape(b, c, k, k, ho, wo)
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(k):
+        for j in range(k):
+            xp[:, :, i : i + ho, j : j + wo] += cols[:, :, i, j]
+    return xp[:, :, pad : pad + h, pad : pad + w]
+
+
+def _reference_conv(x, w, bias, gy, k, pad):
+    """(y, gw, gb, gx) of one forward and backward pass."""
+    cols, ho, wo = _looped_im2col(x, k, pad)
+    y = np.einsum("of,bfp->bop", w, cols) + bias[None, :, None]
+    g = gy.reshape(gy.shape[0], gy.shape[1], ho * wo)
+    gw = np.einsum("bop,bfp->of", g, cols)
+    gx = _looped_col2im(np.einsum("of,bop->bfp", w, g), x.shape, k, pad, ho, wo)
+    return y.reshape(gy.shape), gw, g.sum(axis=(0, 2)), gx
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("k,pad", [(k, pad) for k in (1, 2, 3, 5) for pad in range(k)])
+def test_conv_matches_looped_einsum_reference(k, pad, dtype, rtol):
+    rng = np.random.default_rng(10 * k + pad)
+    conv = Conv2d(3, 4, k, rng, pad=pad, dtype=dtype)
+    conv.b[:] = rng.normal(size=4)
+    x = rng.normal(size=(2, 3, 6, 7)).astype(dtype)
+    y = conv.forward(x)
+    gy = rng.normal(size=y.shape).astype(dtype)
+    gx = conv.backward(gy)
+    expected = _reference_conv(x, conv.w, conv.b, gy, k, pad)
+    for name, got, want in zip(("y", "gw", "gb", "gx"), (y, conv.gw, conv.gb, gx), expected):
+        assert got.dtype == dtype and got.shape == want.shape, name
+        # scale-relative: entries that cancel to near zero carry the max's error
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max(),
+                                   err_msg=name)
 
 
 # ---- network plumbing -------------------------------------------------------

@@ -186,6 +186,14 @@ def test_window_drops_non_finite_entries():
     assert np.array_equal(out.q, ref.q)
 
 
+def test_window_drops_a_position_whose_mean_overflows(caplog):
+    r = init_ratios(3)
+    with caplog.at_level(logging.WARNING, logger="adalase.ratios"):
+        out = averaged_update(r, [(0, 1e308), (0, 1e308), (1, 0.1)], CFG)
+    assert np.array_equal(out.q, adalase_update(r, 1, 0.1, CFG).q)
+    assert "non-finite" in caplog.text
+
+
 def test_multi_position_window_stays_valid():
     rng = np.random.default_rng(5)
     r = init_ratios(4)
