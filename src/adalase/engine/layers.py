@@ -17,20 +17,31 @@ def _uniform_init(rng, shape, fan_in, dtype):
 
 
 def im2col(x, k, pad):
-    """Unfold (B,C,H,W) into (B, C*k*k, Ho*Wo) stride-1 patches of the
-    zero-padded map; returns the patches and (Ho, Wo)."""
+    """Channel-major stride-1 patches of the zero-padded map: (C*k*k, B*Ho*Wo).
+
+    Row ``(c, i, j)`` matches the weight layout (O, C, k, k) and column
+    ``(b, y, x)`` the output pixel, so each conv pass is one GEMM. Returns the
+    patches and (Ho, Wo).
+    """
     b, c, h, w = x.shape
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv kernel {k} does not fit input {h}x{w} with pad {pad}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo), ho, wo
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * ho * wo), ho, wo
 
 
 class Layer:
     """Base layer. ``param_names`` lists parameter attributes in declaration
-    order; the gradient of parameter ``w`` lives in ``gw``."""
+    order; the gradient of parameter ``w`` lives in ``gw``.
+
+    ``backward`` accumulates the parameter gradients and returns the input
+    gradient. Layers with parameters take ``input_grad=False`` to skip the
+    input gradient and return None, as the network does for layer 0, whose
+    input is data.
+    """
 
     param_names = ()
 
@@ -49,7 +60,7 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         raise NotImplementedError
 
 
@@ -75,19 +86,23 @@ class Dense(Layer):
             y = y + self.b
         return y.reshape(b, self.out_features, 1, 1)
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         b = gy.shape[0]
         g2 = gy.reshape(b, self.out_features)
         self.gw += g2.T @ self._x2
         if self.b is not None:
             self.gb += g2.sum(axis=0)
-        return (g2 @ self.w).reshape(self._in_shape)
+        return (g2 @ self.w).reshape(self._in_shape) if input_grad else None
 
 
 class Conv2d(Layer):
-    """Stride-1 convolution. The input gradient is itself a convolution: the
-    output gradient, padded by ``kernel-1-pad``, against the kernel flipped in
-    space and transposed in channels, so one ``im2col`` serves both passes."""
+    """Stride-1 convolution, one GEMM per pass over channel-major patches.
+
+    Outputs are (O, B, Ho, Wo) buffers handed on as (B, O, Ho, Wo) views. The
+    input gradient is itself a convolution: the output gradient, padded by
+    ``kernel-1-pad``, against the kernel flipped in space and transposed in
+    channels, so one ``im2col`` serves every pass.
+    """
 
     def __init__(self, in_channels, out_channels, kernel, rng, pad=0,
                  dtype=np.float64, bias=True):
@@ -102,21 +117,26 @@ class Conv2d(Layer):
     def forward(self, x):
         if x.shape[1] != self.in_channels:
             raise ShapeError(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
+        self._cols = None  # the last pass's patches go before the next ones are built
         self._cols, ho, wo = im2col(x, self.kernel, self.pad)
         y = self.w @ self._cols
         if self.b is not None:
-            y = y + self.b[None, :, None]
-        return y.reshape(x.shape[0], self.out_channels, ho, wo)
+            y += self.b[:, None]
+        return y.reshape(self.out_channels, x.shape[0], ho, wo).transpose(1, 0, 2, 3)
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         b, o, ho, wo = gy.shape
-        c, k = self.in_channels, self.kernel
-        self.gw += np.tensordot(gy.reshape(b, o, ho * wo), self._cols, ([0, 2], [0, 2]))
+        g2 = gy.transpose(1, 0, 2, 3).reshape(o, b * ho * wo)
+        self.gw += g2 @ self._cols.T
         if self.b is not None:
-            self.gb += gy.sum(axis=(0, 2, 3))
+            self.gb += g2.sum(axis=1)
+        if not input_grad:
+            return None
+        c, k = self.in_channels, self.kernel
         gcols, h, w = im2col(gy, k, k - 1 - self.pad)
         flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return (flipped.reshape(c, o * k * k) @ gcols).reshape(b, c, h, w)
+        gx = flipped.reshape(c, o * k * k) @ gcols
+        return gx.reshape(c, b, h, w).transpose(1, 0, 2, 3)
 
 
 class ReLU(Layer):
@@ -141,7 +161,7 @@ class MaxPool2x2(Layer):
         flat = windows.reshape(b, c, ho, wo, 4)
         self._arg = flat.argmax(axis=-1)  # first max wins ties: deterministic
         self._x_shape = x.shape
-        return flat.max(axis=-1)
+        return np.take_along_axis(flat, self._arg[..., None], axis=-1)[..., 0]
 
     def backward(self, gy):
         b, c, h, w = self._x_shape
@@ -172,11 +192,11 @@ class ResidualBlock(Layer):
         h = self.relu1.forward(self.conv1.forward(x))
         return self.relu2.forward(self.conv2.forward(h) + x)
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         g = self.relu2.backward(gy)
         gh = self.conv2.backward(g)
-        gx = self.conv1.backward(self.relu1.backward(gh))
-        return gx + g
+        gx = self.conv1.backward(self.relu1.backward(gh), input_grad=input_grad)
+        return gx + g if input_grad else None
 
 
 class Reshape(Layer):

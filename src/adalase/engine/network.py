@@ -114,15 +114,21 @@ class Network:
         return logits, loss, cur_labels
 
     def backward(self):
-        """Reverse pass for the last forward_with_tap; returns the flat gradient."""
+        """Reverse pass for the last forward_with_tap; returns the flat gradient.
+
+        The input is data, so the pass stops at layer 0's parameter gradients:
+        no input gradient is formed and a tap-0 ``grad_fn`` is never applied.
+        """
         if not self._forward_ready:
             raise StateError("backward called before forward_with_tap")
         self.grad.fill(0)
         g = self._dlogits.reshape(self._logits_shape)
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in range(len(self.layers) - 1, 0, -1):
             g = self.layers[i].backward(g)
             if i == self._tap_layer and self._aug_grad_fn is not None:
                 g = self._aug_grad_fn(g)
+        if self.layers[0].param_slots():
+            self.layers[0].backward(g, input_grad=False)
         self._forward_ready = False
         return self.grad_vector()
 

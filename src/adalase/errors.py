@@ -28,6 +28,21 @@ class ConfigError(AdalaseError):
         self.field = field
 
 
+class NonFiniteError(AdalaseError):
+    """A loss or gradient is NaN or infinite. Names the tap position; raised
+    out of ``train`` it also names the epoch and the iteration within it."""
+
+    def __init__(self, what, position, epoch=None, iteration=None):
+        self.what = what
+        self.position = position
+        self.epoch = epoch
+        self.iteration = iteration
+        where = f"position P{position}"
+        if epoch is not None:
+            where = f"epoch {epoch}, iteration {iteration}, {where}"
+        super().__init__(f"non-finite {what} at {where}")
+
+
 class ValidationError(AdalaseError):
     """Input values violate a documented precondition (e.g. labels not normalized)."""
 

@@ -75,6 +75,9 @@ def content_hash(payloads):
 
 
 def write_manifest(path, effective_config, seed, input_hash):
+    """``val_source`` names the split that feeds ``val_mode: "true"`` and the
+    probes: ``test`` unless ``dataset.val_count`` holds out a validation split."""
+    val_source = "val" if effective_config["dataset"]["val_count"] else "test"
     atomic_write_text(path, json.dumps(
-        {"config": effective_config, "seed": seed, "input_hash": input_hash},
-        indent=2, sort_keys=True) + "\n")
+        {"config": effective_config, "seed": seed, "input_hash": input_hash,
+         "val_source": val_source}, indent=2, sort_keys=True) + "\n")

@@ -9,6 +9,7 @@ augmentation, pseudo-validation draws, the uniform audit counterfactual, and
 probing, so enabling one feature never perturbs another.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,13 +19,15 @@ import numpy as np
 from .augment import INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec
 from .data import batch_iter, pseudo_val_batch
 from .engine.losses import cross_entropy, grad_dot, one_hot
-from .errors import AuditError, ConfigError
+from .errors import AuditError, ConfigError, NonFiniteError
 from .ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule,
                      averaged_update, init_ratios, sample_position,
                      schedule_ratios)
 
 # rng stream tags; fixed so adding features never reshuffles existing streams
 _POS, _AUG, _PSEUDO, _UNIFORM, _PROBE = 1, 2, 3, 4, 5
+
+log = logging.getLogger(__name__)
 
 
 def cosine_lr(t, total_steps, lr0):
@@ -183,10 +186,11 @@ def probe_layer_losses(net, val_set, aug, positions, rng, batch_size=256):
 
 def adalase_iteration(net, train_batch, pseudo_batch, ratios, opt, cfg,
                       pos_rng, aug_rng):
-    """One adaptive-selection step; returns (train_loss, selected position, dot).
+    """One adaptive-selection step; returns (train_loss, pseudo_loss, position, dot).
 
     Both gradients are evaluated at the pre-step weights. The weight update
-    happens last, so any propagated error leaves all state unchanged.
+    happens last, so any propagated error leaves all state unchanged; a NaN or
+    infinite loss or gradient raises ``NonFiniteError`` naming the position.
     """
     x, labels = train_batch
     g_da = None
@@ -198,6 +202,10 @@ def adalase_iteration(net, train_batch, pseudo_batch, ratios, opt, cfg,
     l = sample_position(ratios, pos_rng)
     _, loss, _ = net.forward_with_tap(x, labels, tap=l, aug=cfg.train_aug, rng=aug_rng)
     g_train = net.backward()
+    for what, value in (("pseudo-validation loss", pseudo_loss), ("training loss", loss),
+                        ("pseudo-validation gradient", g_da), ("training gradient", g_train)):
+        if value is not None and not np.isfinite(value).all():
+            raise NonFiniteError(what, l)
     dot = None
     if g_da is not None:
         dot = grad_dot(g_da, g_train)
@@ -237,6 +245,8 @@ def train(net, splits, cfg, train_seed=None):
     uniform_rng = np.random.default_rng([seed, _UNIFORM])
 
     val_source = splits.val if splits.val is not None else splits.test
+    if splits.val is None and ((adaptive and cfg.val_mode == "true") or cfg.probe):
+        log.warning("no validation split: val_mode 'true' batches and probes use the test split")
     audit = SelectionAudit()
     buffer = []
     report = []
@@ -244,7 +254,7 @@ def train(net, splits, cfg, train_seed=None):
 
     for epoch in range(cfg.epochs):
         losses, pseudo_losses = [], []
-        for bx, by in batch_iter(train_set, cfg.batch_size, seed, epoch):
+        for it, (bx, by) in enumerate(batch_iter(train_set, cfg.batch_size, seed, epoch)):
             labels = one_hot(by, num_classes)
             pseudo_batch = None
             if adaptive:
@@ -257,8 +267,11 @@ def train(net, splits, cfg, train_seed=None):
                 else:
                     pseudo_batch = pseudo_val_batch(train_set, cfg.batch_size,
                                                     cfg.pseudo_val_aug, pseudo_rng)
-            loss, ploss, l, dot = adalase_iteration(
-                net, (bx, labels), pseudo_batch, ratios, opt, cfg, pos_rng, aug_rng)
+            try:
+                loss, ploss, l, dot = adalase_iteration(
+                    net, (bx, labels), pseudo_batch, ratios, opt, cfg, pos_rng, aug_rng)
+            except NonFiniteError as exc:
+                raise NonFiniteError(exc.what, exc.position, epoch, it) from None
             losses.append(loss)
             if ploss is not None:
                 pseudo_losses.append(ploss)

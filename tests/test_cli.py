@@ -1,6 +1,7 @@
 """Command-line interface and config handling."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -179,6 +180,22 @@ def test_train_writes_all_artifacts(tmp_path):
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header.startswith("epoch,lr,train_loss")
     assert "q_0" in header and "q_1" in header
+
+
+def test_manifest_names_the_split_that_feeds_validation(tmp_path, caplog):
+    # mlp-fig5 has val_mode "true" and probes but no validation split
+    with caplog.at_level(logging.WARNING, logger="adalase.trainer"):
+        assert main(["train", "--config", "mlp-fig5", "--out", str(tmp_path / "fig5")]) == 0
+    assert json.loads((tmp_path / "fig5" / "manifest.json").read_text())["val_source"] == "test"
+    assert [r.getMessage() for r in caplog.records] == [
+        "no validation split: val_mode 'true' batches and probes use the test split"]
+    caplog.clear()
+    cfg = write_config(tmp_path, {"dataset.n": 80, "dataset.val_count": 20,
+                                  "train.val_mode": "true", "train.probe": True})
+    with caplog.at_level(logging.WARNING, logger="adalase.trainer"):
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "val")]) == 0
+    assert json.loads((tmp_path / "val" / "manifest.json").read_text())["val_source"] == "val"
+    assert not caplog.records
 
 
 def test_train_same_seed_reproduces_outputs(tmp_path):

@@ -9,7 +9,9 @@ import pytest
 from adalase.augment import AugSpec
 from adalase.engine.builders import build_mlp, build_tiny_cnn
 from adalase.engine.checkpoint import load_weights, save_weights
-from adalase.engine.layers import Conv2d, Dense, MaxPool2x2, ReLU
+from adalase.engine import layers
+from adalase.engine.layers import (Conv2d, Dense, GlobalAvgPool, MaxPool2x2, ReLU, Reshape,
+                                   ResidualBlock)
 from adalase.engine.losses import check_soft_labels, cross_entropy, grad_dot, one_hot
 from adalase.engine.network import Network, finite_diff_grad
 from adalase.errors import (DataFormatError, ShapeError, StateError,
@@ -122,6 +124,33 @@ def test_maxpool_floor_shapes_and_first_max_ties():
     assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0  # first element wins the tie
 
 
+def _pool_windows(x):
+    b, c, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    windows = x[:, :, : 2 * ho, : 2 * wo].reshape(b, c, ho, 2, wo, 2)
+    return windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, 4)
+
+
+@pytest.mark.parametrize("case", ["random", "tied", "nan"])
+def test_maxpool_forward_is_bitwise_flat_max_at_first_argmax(case):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 2, 7, 6))
+    if case == "tied":
+        x = rng.integers(-1, 2, size=x.shape).astype(float)
+    elif case == "nan":
+        x[rng.random(x.shape) < 0.2] = np.nan
+    pool = MaxPool2x2()
+    y = pool.forward(x)
+    flat = _pool_windows(x)
+    want = flat.max(axis=-1)
+    assert y.shape == want.shape and y.tobytes() == want.tobytes()
+    # first max wins: a NaN counts as the max, as in argmax
+    for idx in np.ndindex(*want.shape):
+        window = list(flat[idx])
+        first = next(i for i, v in enumerate(window) if v == want[idx] or np.isnan(v))
+        assert pool._arg[idx] == first, idx
+
+
 @pytest.mark.parametrize("h,w,k,pad", [
     (5, 5, 3, 0), (6, 7, 3, 1), (4, 4, 2, 0), (8, 5, 3, 2), (3, 5, 1, 0),
 ])
@@ -179,6 +208,12 @@ def _reference_conv(x, w, bias, gy, k, pad):
     return y.reshape(gy.shape), gw, g.sum(axis=(0, 2)), gx
 
 
+def _channel_major_view(a):
+    """Same values as ``a``, laid out as the (C, B, H, W) buffer behind a
+    (B, C, H, W) view: the layout conv outputs hand to the next layer."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
 @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 @pytest.mark.parametrize("k,pad", [(k, pad) for k in (1, 2, 3, 5) for pad in range(k)])
 def test_conv_matches_looped_einsum_reference(k, pad, dtype, rtol):
@@ -186,15 +221,22 @@ def test_conv_matches_looped_einsum_reference(k, pad, dtype, rtol):
     conv = Conv2d(3, 4, k, rng, pad=pad, dtype=dtype)
     conv.b[:] = rng.normal(size=4)
     x = rng.normal(size=(2, 3, 6, 7)).astype(dtype)
-    y = conv.forward(x)
-    gy = rng.normal(size=y.shape).astype(dtype)
-    gx = conv.backward(gy)
+    gy = rng.normal(size=(2, 4, 7 + 2 * pad - k, 8 + 2 * pad - k)).astype(dtype)
     expected = _reference_conv(x, conv.w, conv.b, gy, k, pad)
-    for name, got, want in zip(("y", "gw", "gb", "gx"), (y, conv.gw, conv.gb, gx), expected):
-        assert got.dtype == dtype and got.shape == want.shape, name
-        # scale-relative: entries that cancel to near zero carry the max's error
-        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max(),
-                                   err_msg=name)
+    for layout in (np.ascontiguousarray, _channel_major_view):
+        conv.gw[:] = 0
+        conv.gb[:] = 0
+        xl, gyl = layout(x), layout(gy)
+        assert np.array_equal(xl, x) and np.array_equal(gyl, gy)
+        y = conv.forward(xl)
+        gx = conv.backward(gyl)
+        for name, got, want in zip(("y", "gw", "gb", "gx"), (y, conv.gw, conv.gb, gx),
+                                   expected):
+            msg = f"{name} ({layout.__name__})"
+            assert got.dtype == dtype and got.shape == want.shape, msg
+            # scale-relative: entries that cancel to near zero carry the max's error
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max(),
+                                       err_msg=msg)
 
 
 # ---- network plumbing -------------------------------------------------------
@@ -292,6 +334,64 @@ def test_layer_weights_and_grads_are_views_of_flat_buffers(rng):
     assert np.array_equal(g[offset : offset + conv.gw.size], conv.gw.ravel())
     net.set_param_vector(np.zeros(net.num_params()))
     assert not conv.w.any()
+
+
+def _full_chain_grad(net, x_shape):
+    """Flat gradient of the last forward_with_tap by the whole reverse chain:
+    layer 0's input gradient included, and a tap-0 grad_fn applied to it."""
+    net.grad.fill(0)
+    g = net._dlogits.reshape(net._logits_shape)
+    for i in range(len(net.layers) - 1, -1, -1):
+        g = net.layers[i].backward(g)
+        if i == net._tap_layer and net._aug_grad_fn is not None:
+            g = net._aug_grad_fn(g)
+    assert g.shape == x_shape
+    return net.grad_vector()
+
+
+@pytest.mark.parametrize("build,conv_inputs", [(tiny_mlp, 0), (tiny_cnn, 4)])
+@pytest.mark.parametrize("tap", [None, 0, 1])
+def test_layer0_never_computes_an_input_gradient(build, conv_inputs, tap, monkeypatch):
+    net = build(14)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(4, 1, 6, 6) if build is tiny_cnn else (4, 1, 4, 4))
+    labels = one_hot(rng.integers(0, 2, size=4), 2)
+    aug = AugSpec(kind="mixup", alpha=1.0) if tap is not None else None
+    net.forward_with_tap(x, labels, tap=tap, aug=aug, rng=np.random.default_rng(15))
+    full = _full_chain_grad(net, x.shape)
+
+    unfolds, grad_fn_calls, layer0_out = [], [], []
+    real_im2col, real_grad_fn = layers.im2col, net._aug_grad_fn
+    monkeypatch.setattr(layers, "im2col", lambda *a: unfolds.append(a) or real_im2col(*a))
+    if real_grad_fn is not None:
+        net._aug_grad_fn = lambda g: grad_fn_calls.append(g) or real_grad_fn(g)
+    layer0_backward = net.layers[0].backward
+    net.layers[0].backward = lambda *a, **kw: layer0_out.append(layer0_backward(*a, **kw))
+    got = net.backward()
+    assert got.tobytes() == full.tobytes()
+    assert layer0_out == [None]
+    assert len(unfolds) == conv_inputs  # one per conv above layer 0, none for the stem
+    assert len(grad_fn_calls) == (tap == 1)  # a tap-0 grad_fn would act on the input
+
+
+@pytest.mark.parametrize("kind", ["Dense", "Conv2d", "ResidualBlock", "ReLU", "MaxPool2x2",
+                                  "GlobalAvgPool", "Reshape"])
+def test_every_layer_kind_works_at_index_0(kind):
+    rng = np.random.default_rng(18)
+    first = {"Dense": lambda: Dense(36, 5, rng),
+             "Conv2d": lambda: Conv2d(1, 2, 3, rng, pad=1),
+             "ResidualBlock": lambda: ResidualBlock(1, rng),
+             "ReLU": ReLU, "MaxPool2x2": MaxPool2x2, "GlobalAvgPool": GlobalAvgPool,
+             "Reshape": lambda: Reshape(4, 3, 3)}[kind]()
+    x = np.random.default_rng(19).normal(size=(3, 1, 6, 6))
+    features = int(np.prod(first.forward(x).shape[1:]))
+    net = perturb_params(Network([first, Dense(features, 2, rng)], taps=[0, 1]),
+                         np.random.default_rng(20))
+    labels = one_hot([0, 1, 1], 2)
+    net.forward_with_tap(x, labels)
+    full = _full_chain_grad(net, x.shape)
+    net.forward_with_tap(x, labels)
+    assert net.backward().tobytes() == full.tobytes()
 
 
 # ---- gradient oracle --------------------------------------------------------

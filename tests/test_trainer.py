@@ -9,8 +9,8 @@ import pytest
 from adalase.augment import AugSpec
 from adalase.data import gen_synthetic, split_dataset
 from adalase.engine.losses import one_hot
-from adalase.errors import AuditError, ConfigError
-from adalase.ratios import AdaLaseConfig, RatioSchedule, init_ratios
+from adalase.errors import AuditError, ConfigError, NonFiniteError
+from adalase.ratios import AdaLaseConfig, RatioSchedule, init_ratios, sample_position
 from adalase.trainer import (OptimizerState, SelectionAudit, Splits,
                              TrainConfig, adalase_iteration, audit_worst_layer,
                              cosine_lr, dataset_loss, evaluate,
@@ -125,6 +125,50 @@ def test_iteration_without_pseudo_batch_skips_dot(rng):
                                             np.random.default_rng(1))
     assert dot is None and ploss is None and np.isfinite(loss)
     assert not np.array_equal(net.param_vector(), theta)
+
+
+# ReLU maps NaN to 0, so a NaN input row leaves the loss finite and shows in layer
+# 0's weight gradient; a NaN output bias reaches the logits and the loss
+@pytest.mark.parametrize("where,pseudo,what", [
+    ("input", False, "training gradient"), ("input", True, "pseudo-validation gradient"),
+    ("bias", False, "training loss"), ("bias", True, "pseudo-validation loss")])
+def test_non_finite_value_raises_before_any_state_changes(where, pseudo, what, rng):
+    net = tiny_mlp(6)
+    x = rng.normal(size=(8, 1, 4, 4))
+    labels = one_hot(rng.integers(0, 2, size=8), 2)
+    bad = x.copy()
+    if where == "input":
+        bad[3] = np.nan
+    else:
+        net.layers[-1].b[0] = np.nan
+    train_batch, pseudo_batch = ((x, labels), (bad, labels)) if pseudo else ((bad, labels), None)
+    opt = OptimizerState(velocity=rng.normal(size=net.num_params()), momentum=0.9,
+                         base_lr=0.01, current_lr=0.01, t=3, total_steps=10)
+    theta, velocity = net.param_vector(), opt.velocity.copy()
+    with pytest.raises(NonFiniteError) as exc:
+        adalase_iteration(net, train_batch, pseudo_batch, init_ratios(2), opt, quick_config(),
+                          np.random.default_rng(0), np.random.default_rng(1))
+    position = sample_position(init_ratios(2), np.random.default_rng(0))
+    assert (exc.value.what, exc.value.position) == (what, position)
+    assert str(exc.value) == f"non-finite {what} at position P{position}"
+    assert net.param_vector().tobytes() == theta.tobytes()
+    assert np.array_equal(opt.velocity, velocity) and opt.t == 3
+
+
+@pytest.mark.parametrize("schedule,row_iter", [("adaptive", 0), ("uniform", 2)])
+def test_train_names_epoch_and_iteration_of_a_non_finite_gradient(schedule, row_iter):
+    splits = small_splits()
+    order = np.random.default_rng([0, 0]).permutation(len(splits.train))  # batch_iter's epoch 0
+    splits.train.images[order[16 * row_iter]] = np.nan
+    cfg = quick_config(schedule=RatioSchedule(shape=schedule))
+    net = tiny_mlp(16)
+    theta = net.param_vector()
+    with pytest.raises(NonFiniteError) as exc:
+        train(net, splits, cfg)
+    assert (exc.value.epoch, exc.value.iteration) == (0, row_iter)
+    assert f" at epoch 0, iteration {row_iter}, position P{exc.value.position}" in str(exc.value)
+    # the failing iteration takes no step: only the row_iter before it moved theta
+    assert (net.param_vector().tobytes() == theta.tobytes()) == (row_iter == 0)
 
 
 # ---- full training loop ----------------------------------------------------------
