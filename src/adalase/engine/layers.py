@@ -3,6 +3,12 @@
 All activations are rank-4 arrays (batch, channels, height, width). Dense
 layers flatten internally and emit (batch, features, 1, 1) so taps can sit
 between any pair of layers without special-casing ranks.
+
+The conv stack keeps its maps batch-innermost: conv, pooling and gradient
+results are (B, C, H, W) views of (C, H, W, B) buffers, and ReLU and the
+residual sum are elementwise ufuncs that keep their input's memory order. So
+every patch copy in ``im2col`` moves runs of B contiguous values, and the
+conv backward reads its output gradient as a matrix without a copy.
 """
 
 import numpy as np
@@ -17,20 +23,20 @@ def _uniform_init(rng, shape, fan_in, dtype):
 
 
 def im2col(x, k, pad):
-    """Channel-major stride-1 patches of the zero-padded map: (C*k*k, B*Ho*Wo).
+    """Stride-1 patches of the zero-padded map, batch innermost: (C*k*k, Ho*Wo*B).
 
     Row ``(c, i, j)`` matches the weight layout (O, C, k, k) and column
-    ``(b, y, x)`` the output pixel, so each conv pass is one GEMM. Returns the
+    ``(y, x, b)`` the output pixel, so each conv pass is one GEMM. Returns the
     patches and (Ho, Wo).
     """
     b, c, h, w = x.shape
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv kernel {k} does not fit input {h}x{w} with pad {pad}")
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * ho * wo), ho, wo
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, b), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, ho * wo * b), ho, wo
 
 
 class Layer:
@@ -96,9 +102,9 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """Stride-1 convolution, one GEMM per pass over channel-major patches.
+    """Stride-1 convolution, one GEMM per pass over batch-innermost patches.
 
-    Outputs are (O, B, Ho, Wo) buffers handed on as (B, O, Ho, Wo) views. The
+    Outputs are (O, Ho, Wo, B) buffers handed on as (B, O, Ho, Wo) views. The
     input gradient is itself a convolution: the output gradient, padded by
     ``kernel-1-pad``, against the kernel flipped in space and transposed in
     channels, so one ``im2col`` serves every pass.
@@ -122,11 +128,11 @@ class Conv2d(Layer):
         y = self.w @ self._cols
         if self.b is not None:
             y += self.b[:, None]
-        return y.reshape(self.out_channels, x.shape[0], ho, wo).transpose(1, 0, 2, 3)
+        return y.reshape(self.out_channels, ho, wo, x.shape[0]).transpose(3, 0, 1, 2)
 
     def backward(self, gy, input_grad=True):
-        b, o, ho, wo = gy.shape
-        g2 = gy.transpose(1, 0, 2, 3).reshape(o, b * ho * wo)
+        b, o = gy.shape[:2]
+        g2 = gy.transpose(1, 2, 3, 0).reshape(o, -1)
         self.gw += g2 @ self._cols.T
         if self.b is not None:
             self.gb += g2.sum(axis=1)
@@ -136,42 +142,53 @@ class Conv2d(Layer):
         gcols, h, w = im2col(gy, k, k - 1 - self.pad)
         flipped = self.w.reshape(o, c, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         gx = flipped.reshape(c, o * k * k) @ gcols
-        return gx.reshape(c, b, h, w).transpose(1, 0, 2, 3)
+        return gx.reshape(c, h, w, b).transpose(3, 0, 1, 2)
 
 
 class ReLU(Layer):
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        return np.maximum(x, 0.0)  # NaN stays NaN
 
     def backward(self, gy):
-        return np.where(self._mask, gy, 0)
+        return gy * self._mask
+
+
+def _pool_corners(x):
+    """The four 2x2-window corners of ``x`` as strided views, in ``t = 2*i + j`` order."""
+    ho, wo = x.shape[2] // 2, x.shape[3] // 2
+    return [x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)]
 
 
 class MaxPool2x2(Layer):
-    """2x2 max pooling, stride 2; trailing odd row/column dropped (floor shapes)."""
+    """2x2 max pooling, stride 2; trailing odd row/column dropped (floor shapes).
+
+    Works on the window corners as strided views, so the output keeps the
+    input's memory order; the input gradient is batch-innermost. ``_arg``
+    holds the first corner at the max, or at the first NaN when the max is
+    NaN, as ``argmax`` would.
+    """
 
     def forward(self, x):
-        b, c, h, w = x.shape
-        ho, wo = h // 2, w // 2
-        if ho < 1 or wo < 1:
+        _, _, h, w = x.shape
+        if h < 2 or w < 2:
             raise ShapeError(f"maxpool needs spatial dims >= 2, got {h}x{w}")
-        xc = x[:, :, : 2 * ho, : 2 * wo]
-        windows = xc.reshape(b, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-        flat = windows.reshape(b, c, ho, wo, 4)
-        self._arg = flat.argmax(axis=-1)  # first max wins ties: deterministic
+        q = _pool_corners(x)
+        y = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+        # _arg counts the corners before the first one equal to the max or NaN
+        self._arg = np.zeros_like(y, dtype=np.int8)
+        before = True
+        for t in range(3):
+            before = before & (q[t] != y) & (q[t] == q[t])
+            self._arg += before
         self._x_shape = x.shape
-        return np.take_along_axis(flat, self._arg[..., None], axis=-1)[..., 0]
+        return y
 
     def backward(self, gy):
         b, c, h, w = self._x_shape
-        ho, wo = h // 2, w // 2
-        gflat = np.zeros((b, c, ho, wo, 4), dtype=gy.dtype)
-        np.put_along_axis(gflat, self._arg[..., None], gy[..., None], axis=-1)
-        gx = np.zeros(self._x_shape, dtype=gy.dtype)
-        gx[:, :, : 2 * ho, : 2 * wo] = (
-            gflat.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, 2 * ho, 2 * wo)
-        )
+        gx = np.zeros((c, h, w, b), dtype=gy.dtype).transpose(3, 0, 1, 2)
+        for t, corner in enumerate(_pool_corners(gx)):
+            np.multiply(gy, self._arg == t, out=corner)
         return gx
 
 
@@ -223,5 +240,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, gy):
-        _, _, h, w = self._x_shape
-        return np.broadcast_to(gy / (h * w), self._x_shape).copy()
+        b, c, h, w = self._x_shape
+        gx = np.empty((c, h, w, b), dtype=gy.dtype)
+        gx[...] = (gy.reshape(b, c).T / (h * w))[:, None, None, :]
+        return gx.transpose(3, 0, 1, 2)

@@ -151,6 +151,40 @@ def test_maxpool_forward_is_bitwise_flat_max_at_first_argmax(case):
         assert pool._arg[idx] == first, idx
 
 
+def _put_along_axis_pool_backward(x, gy):
+    """The routing MaxPool2x2.backward used before it wrote to corner views:
+    ``gy`` put at the flat window argmax, then the windows folded back."""
+    b, c, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    arg = _pool_windows(x).argmax(axis=-1)
+    gflat = np.zeros((b, c, ho, wo, 4), dtype=gy.dtype)
+    np.put_along_axis(gflat, arg[..., None], gy[..., None], axis=-1)
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    gx[:, :, : 2 * ho, : 2 * wo] = (
+        gflat.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, 2 * ho, 2 * wo)
+    )
+    return gx
+
+
+@pytest.mark.parametrize("case", ["random", "tied", "nan", "odd"])
+def test_maxpool_backward_matches_put_along_axis_reference(case):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 2, 7, 5) if case == "odd" else (3, 2, 6, 8))
+    if case == "tied":
+        x = rng.integers(-1, 2, size=x.shape).astype(float)
+    elif case == "nan":
+        x[rng.random(x.shape) < 0.2] = np.nan
+    gy = rng.normal(size=(3, 2, x.shape[2] // 2, x.shape[3] // 2))
+    want = _put_along_axis_pool_backward(x, gy)
+    pool = MaxPool2x2()
+    for layout in (np.ascontiguousarray, _batch_innermost_view):
+        pool.forward(layout(x))
+        got = pool.backward(layout(gy))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # equal as values: an unrouted corner may hold -0.0 where the reference has +0.0
+        assert np.array_equal(got, want), layout.__name__
+
+
 @pytest.mark.parametrize("h,w,k,pad", [
     (5, 5, 3, 0), (6, 7, 3, 1), (4, 4, 2, 0), (8, 5, 3, 2), (3, 5, 1, 0),
 ])
@@ -210,8 +244,14 @@ def _reference_conv(x, w, bias, gy, k, pad):
 
 def _channel_major_view(a):
     """Same values as ``a``, laid out as the (C, B, H, W) buffer behind a
-    (B, C, H, W) view: the layout conv outputs hand to the next layer."""
+    (B, C, H, W) view."""
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _batch_innermost_view(a):
+    """Same values as ``a``, laid out as the (C, H, W, B) buffer behind a
+    (B, C, H, W) view: the layout conv outputs hand to the next layer."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
 @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -223,7 +263,7 @@ def test_conv_matches_looped_einsum_reference(k, pad, dtype, rtol):
     x = rng.normal(size=(2, 3, 6, 7)).astype(dtype)
     gy = rng.normal(size=(2, 4, 7 + 2 * pad - k, 8 + 2 * pad - k)).astype(dtype)
     expected = _reference_conv(x, conv.w, conv.b, gy, k, pad)
-    for layout in (np.ascontiguousarray, _channel_major_view):
+    for layout in (np.ascontiguousarray, _channel_major_view, _batch_innermost_view):
         conv.gw[:] = 0
         conv.gb[:] = 0
         xl, gyl = layout(x), layout(gy)
@@ -312,6 +352,46 @@ def test_input_rank_and_batch_checks():
         net.forward_with_tap(np.zeros((1, 16)), one_hot([0], 2))
     with pytest.raises(ShapeError):
         net.forward_with_tap(np.zeros((2, 1, 4, 4)), one_hot([0], 2))
+
+
+@pytest.mark.parametrize("build,side", [(tiny_cnn, 6), (tiny_mlp, 4)])
+def test_nan_input_row_gives_nan_logits_in_that_row_only(build, side):
+    net = build(21)
+    x = np.random.default_rng(21).normal(size=(4, 1, side, side))
+    x[2] = np.nan
+    logits = net.predict(x)
+    assert np.isnan(logits[2]).all()
+    assert np.isfinite(np.delete(logits, 2, axis=0)).all()
+
+
+def test_activations_stay_batch_innermost(monkeypatch):
+    # every patch copy in im2col moves runs of B values only if the maps it
+    # reads are (C, H, W, B) buffers: a transposing copy here would undo that
+    net = tiny_cnn(22, side=6, width=3)
+    outputs = []
+
+    def record(layer, name, arg=False):
+        forward = layer.forward
+
+        def wrapped(x):
+            y = forward(x)
+            outputs.append((name, x if arg else y))
+            return y
+        monkeypatch.setattr(layer, "forward", wrapped)
+
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, ResidualBlock):
+            record(layer.conv1, f"layer{i}.conv1")
+            record(layer.relu1, f"layer{i}.relu1")
+            record(layer.conv2, f"layer{i}.conv2")
+            record(layer.relu2, f"layer{i}.sum", arg=True)
+            record(layer.relu2, f"layer{i}.relu2")
+        elif isinstance(layer, (Conv2d, ReLU, MaxPool2x2)):
+            record(layer, f"layer{i}.{type(layer).__name__}")
+    net.predict(np.random.default_rng(22).normal(size=(5, 1, 6, 6)))
+    assert len(outputs) == 13
+    for name, y in outputs:
+        assert min(y.shape) > 1 and np.moveaxis(y, 0, -1).flags.c_contiguous, name
 
 
 def test_param_vector_round_trip(rng):

@@ -127,10 +127,10 @@ def test_iteration_without_pseudo_batch_skips_dot(rng):
     assert not np.array_equal(net.param_vector(), theta)
 
 
-# ReLU maps NaN to 0, so a NaN input row leaves the loss finite and shows in layer
-# 0's weight gradient; a NaN output bias reaches the logits and the loss
+# ReLU propagates NaN, so a NaN input row, like a NaN output bias, reaches the
+# logits and the loss: the guard fires at the loss, before any gradient
 @pytest.mark.parametrize("where,pseudo,what", [
-    ("input", False, "training gradient"), ("input", True, "pseudo-validation gradient"),
+    ("input", False, "training loss"), ("input", True, "pseudo-validation loss"),
     ("bias", False, "training loss"), ("bias", True, "pseudo-validation loss")])
 def test_non_finite_value_raises_before_any_state_changes(where, pseudo, what, rng):
     net = tiny_mlp(6)
