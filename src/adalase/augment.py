@@ -9,7 +9,9 @@ through the (frozen) transform, treating the sampled parameters as constants.
 Kernels are batched: rotation, shift and crop are one zero-filled gather
 (``_remap``); cutout and cutmix boxes are one mask (``_boxes``). Parameters
 are drawn in per-sample order, so a seeded stream yields the same outcome
-and end state as a sample-by-sample loop.
+and end state as a sample-by-sample loop. mixup and cutmix are one partner
+blend (``_mix``) under a scalar or box-mask weight; the partner map is a
+permutation, so its gradient is a gather through the inverse permutation.
 """
 
 from dataclasses import dataclass, field
@@ -63,11 +65,28 @@ class AugOutcome:
     grad_fn: Optional[Callable] = field(default=None, repr=False)
 
 
-def _require_pairs(batch):
+def _pairing(batch, labels, alpha, rng, lam):
+    """Checks and draws shared by the mixing kernels: lam ~ Beta(alpha, alpha)
+    unless pinned, then one partner permutation."""
+    batch = np.asarray(batch)
+    labels = check_soft_labels(labels)
     if batch.shape[0] < 2:
-        raise DegenerateBatchError(
-            f"mixing augmentation needs batch >= 2, got {batch.shape[0]}"
-        )
+        raise DegenerateBatchError(f"mixing augmentation needs batch >= 2, got {len(batch)}")
+    if lam is None:
+        lam = float(rng.beta(alpha, alpha))
+    return batch, labels, lam, rng.permutation(batch.shape[0])
+
+
+def _mix(batch, labels, perm, keep, take, lam):
+    """Blend sample s with partner perm[s]: ``keep * x + take * x[perm]``.
+
+    ``keep`` and ``take`` are scalars or per-sample masks; labels mix by ``lam``.
+    Sample s is the partner of output argsort(perm)[s] only, so the gradient
+    is a gather through the inverse permutation.
+    """
+    out = keep * batch + take * batch[perm]
+    mixed = lam * labels + (1.0 - lam) * labels[perm]
+    return AugOutcome(out, mixed, lam, lambda g: keep * g + (take * g)[np.argsort(perm)])
 
 
 def mixup(batch, labels, alpha, rng, lam=None):
@@ -75,21 +94,8 @@ def mixup(batch, labels, alpha, rng, lam=None):
 
     One lam ~ Beta(alpha, alpha) per call; pass ``lam`` to pin it in tests.
     """
-    batch = np.asarray(batch)
-    labels = check_soft_labels(labels)
-    _require_pairs(batch)
-    if lam is None:
-        lam = float(rng.beta(alpha, alpha))
-    perm = rng.permutation(batch.shape[0])
-    out = lam * batch + (1.0 - lam) * batch[perm]
-    mixed = lam * labels + (1.0 - lam) * labels[perm]
-
-    def grad_fn(g):
-        gx = lam * g
-        np.add.at(gx, perm, (1.0 - lam) * g)
-        return gx
-
-    return AugOutcome(out, mixed, lam, grad_fn)
+    batch, labels, lam, perm = _pairing(batch, labels, alpha, rng, lam)
+    return _mix(batch, labels, perm, lam, 1.0 - lam, lam)
 
 
 def _boxes(rng, b, h, w, rh, rw):
@@ -159,26 +165,12 @@ def translation(batch, shift_fraction_max, rng):
 
 def cutmix(batch, labels, alpha, rng, lam=None):
     """Paste a rectangle from a permuted partner; labels mixed by area ratio."""
-    batch = np.asarray(batch)
-    labels = check_soft_labels(labels)
-    _require_pairs(batch)
+    batch, labels, lam, perm = _pairing(batch, labels, alpha, rng, lam)
     b, _, h, w = batch.shape
-    if lam is None:
-        lam = float(rng.beta(alpha, alpha))
-    perm = rng.permutation(b)
     rh = int(round(h * np.sqrt(1.0 - lam)))
     rw = int(round(w * np.sqrt(1.0 - lam)))
     paste = _boxes(rng, b, h, w, rh, rw).astype(batch.dtype)
-    lam_eff = 1.0 - (rh * rw) / (h * w)
-    out = batch * (1.0 - paste) + batch[perm] * paste
-    mixed = lam_eff * labels + (1.0 - lam_eff) * labels[perm]
-
-    def grad_fn(g):
-        gx = g * (1.0 - paste)
-        np.add.at(gx, perm, g * paste)
-        return gx
-
-    return AugOutcome(out, mixed, lam_eff, grad_fn)
+    return _mix(batch, labels, perm, 1.0 - paste, paste, 1.0 - (rh * rw) / (h * w))
 
 
 def rotate(batch, degrees):

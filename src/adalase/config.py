@@ -9,13 +9,14 @@ are the dataclass defaults and its checks are the dataclass validators.
 import copy
 import dataclasses
 import json
+import math
 import os
 
 from .data import (gen_synthetic, load_cifar_bin, load_idx, load_raw,
                    split_dataset, subsample)
 from .engine.builders import build_network
 from .errors import ConfigError
-from .trainer import Splits, TrainConfig
+from .trainer import Splits, TrainConfig, check_mixing_batches
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
@@ -108,10 +109,20 @@ def validate_config(raw):
     ds = cfg["dataset"]
     _check(ds["kind"] in ("synthetic", "idx", "cifar", "raw"),
            f"unknown dataset kind {ds['kind']!r}", "dataset.kind")
-    if ds["kind"] == "synthetic":
+    synthetic = ds["kind"] == "synthetic"
+    # every count, seed and noise level the run reads is >= 0
+    for key, read in (("train_count", synthetic), ("val_count", True),
+                      ("test_count", synthetic), ("subsample_count", True),
+                      ("noise", synthetic), ("seed", synthetic or ds["val_count"] != 0),
+                      ("subsample_seed", ds["subsample_count"] != 0)):
+        _check(not read or ds[key] >= 0, f"{key} must be >= 0", f"dataset.{key}")
+    if synthetic:
         _check(ds["synthetic_kind"] in ("two_gaussians", "striped_patches"),
                f"unknown synthetic kind {ds['synthetic_kind']!r}", "dataset.synthetic_kind")
         _check(ds["n"] >= 2, "n must be >= 2", "dataset.n")
+        min_side = 2 if ds["synthetic_kind"] == "striped_patches" else 1
+        _check(ds["side"] >= min_side, f"side must be >= {min_side} for "
+               f"{ds['synthetic_kind']}", "dataset.side")
         _check(ds["train_count"] + ds["val_count"] + ds["test_count"] <= ds["n"],
                "train+val+test counts exceed n", "dataset")
     else:
@@ -123,10 +134,20 @@ def validate_config(raw):
         for f in path_fields:
             _check(bool(ds[f]), f"{f} is required for kind {ds['kind']!r}", f"dataset.{f}")
             _check(os.path.exists(ds[f]), f"path does not exist: {ds[f]}", f"dataset.{f}")
-    make_train_config(cfg)
+    train_cfg = make_train_config(cfg)
+    if synthetic:
+        check_mixing_batches(train_cfg, ds["subsample_count"] or ds["train_count"],
+                             ds["val_count"] or ds["test_count"])
     mdl = cfg["model"]
     _check(mdl["kind"] in ("mlp", "tiny_cnn"), f"unknown model kind {mdl['kind']!r}",
            "model.kind")
+    if mdl["kind"] == "mlp":
+        # the hidden activation is viewed as a square map
+        _check(mdl["hidden"] >= 1 and math.isqrt(mdl["hidden"]) ** 2 == mdl["hidden"],
+               f"hidden must be a positive perfect square, got {mdl['hidden']}",
+               "model.hidden")
+    else:
+        _check(mdl["width"] >= 1, "width must be >= 1", "model.width")
     if mdl["init_checkpoint"]:
         _check(os.path.exists(mdl["init_checkpoint"]),
                f"path does not exist: {mdl['init_checkpoint']}", "model.init_checkpoint")

@@ -68,7 +68,11 @@ class Network:
     # ---- forward / backward -------------------------------------------------
 
     def predict(self, x):
-        """Plain forward pass; returns (batch, classes) logits."""
+        """Plain forward pass; returns (batch, classes) logits.
+
+        The layer caches now belong to ``x``, so a pending backward is disarmed.
+        """
+        self._forward_ready = False
         cur = np.asarray(x)
         for layer in self.layers:
             cur = layer.forward(cur)

@@ -84,6 +84,10 @@ class TrainConfig:
             raise ConfigError("base_lr must be > 0", field="base_lr")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0,1)", field="momentum")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", field="seed")
+        if self.eval_batch_size < 1:
+            raise ConfigError("eval_batch_size must be >= 1", field="eval_batch_size")
         if self.batch_size < 2 and self.train_aug.kind in MIXING_KINDS:
             raise ConfigError("batch_size must be >= 2 for mixing augmentations",
                               field="batch_size")
@@ -101,6 +105,25 @@ class TrainConfig:
         if self.update_cadence not in ("epoch", "window"):
             raise ConfigError("update_cadence must be 'epoch' or 'window'",
                               field="update_cadence")
+
+
+def check_mixing_batches(cfg, n_train, n_probe):
+    """Reject a mixing ``train_aug`` whose batching leaves a one-sample batch.
+
+    ``n_train`` training samples go in batches of ``batch_size``; with
+    ``probe``, the ``n_probe`` validation-source samples go in batches of
+    ``eval_batch_size``. The last of n samples in batches of b is alone when
+    n = 1 (mod b).
+    """
+    if cfg.train_aug.kind not in MIXING_KINDS:
+        return
+    for name, what, n, size, used in (
+            ("batch_size", "training", n_train, cfg.batch_size, True),
+            ("eval_batch_size", "probe", n_probe, cfg.eval_batch_size, cfg.probe)):
+        if used and n > 0 and (n - 1) % size == 0:
+            raise ConfigError(f"{n} {what} samples in batches of {size} leave a batch of "
+                              f"one, which {cfg.train_aug.kind} cannot mix",
+                              field=f"train.{name}")
 
 
 @dataclass
@@ -224,6 +247,8 @@ def train(net, splits, cfg, train_seed=None):
         raise ConfigError("training dataset is empty")
     if len(splits.test) == 0:
         raise ConfigError("test dataset is empty")
+    val_source = splits.val if splits.val is not None else splits.test
+    check_mixing_batches(cfg, len(train_set), len(val_source))
     seed = cfg.seed if train_seed is None else train_seed
     num_classes = train_set.num_classes
     iters_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
@@ -244,7 +269,6 @@ def train(net, splits, cfg, train_seed=None):
     pseudo_rng = np.random.default_rng([seed, _PSEUDO])
     uniform_rng = np.random.default_rng([seed, _UNIFORM])
 
-    val_source = splits.val if splits.val is not None else splits.test
     if splits.val is None and ((adaptive and cfg.val_mode == "true") or cfg.probe):
         log.warning("no validation split: val_mode 'true' batches and probes use the test split")
     audit = SelectionAudit()

@@ -18,6 +18,12 @@ def perturb_params(net, rng, scale=0.05):
     return net
 
 
+def batch_innermost_view(a):
+    """Same values as ``a``, laid out as the (C, H, W, B) buffer behind a
+    (B, C, H, W) view: the layout conv outputs hand to the next layer."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 def tiny_mlp(seed, side=4, hidden=4, classes=2):
     net = build_mlp((1, side, side), hidden, classes, seed)
     return perturb_params(net, np.random.default_rng([seed, 97]))

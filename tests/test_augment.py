@@ -4,12 +4,13 @@ label-convexity, and degenerate-identity properties."""
 import numpy as np
 import pytest
 
-from adalase.augment import (AugSpec, apply_at_position, cutmix, cutout,
-                             flip_horizontal, mixup, rotate, rotation, shift,
-                             translation)
+from adalase.augment import (INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec,
+                             apply_at_position, cutmix, cutout, flip_horizontal,
+                             mixup, rotate, rotation, shift, translation)
 from adalase.engine.losses import one_hot
 from adalase.errors import (ConfigError, DegenerateBatchError, PolicyError,
                             ShapeError)
+from conftest import batch_innermost_view
 
 
 # ---- spec validation --------------------------------------------------------
@@ -339,6 +340,17 @@ def _ref_apply(spec, x, labels, rng):
                 left = _ref_anchor(rng, w - side)
                 keep[s, 0, top : top + side, left : left + side] = 0.0
         return x * keep, labels, 1.0, lambda g: g * keep
+    if spec.kind == "mixup":
+        lam = float(rng.beta(spec.alpha, spec.alpha))
+        perm = rng.permutation(b)
+
+        def mixup_grad(g):
+            gx = lam * g
+            np.add.at(gx, perm, (1.0 - lam) * g)
+            return gx
+
+        return (lam * x + (1.0 - lam) * x[perm],
+                lam * labels + (1.0 - lam) * labels[perm], lam, mixup_grad)
     if spec.kind == "cutmix":
         lam = float(rng.beta(spec.alpha, spec.alpha))
         perm = rng.permutation(b)
@@ -391,7 +403,7 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-ORACLE_KINDS = ("cutout", "cutmix", "rotation", "translation", "random_crop")
+ORACLE_KINDS = ("cutout", "cutmix", "rotation", "translation", "random_crop", "mixup")
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -410,16 +422,22 @@ def test_batched_kernels_match_per_sample_oracle(kind, dtype):
                        shift_fraction_max=float(cases.uniform(0.0, 1.0)),
                        degree_range=float(cases.choice([10.0, 45.0, 180.0, 720.0])),
                        pad=int(cases.integers(0, 5)))
-        new_rng, ref_rng = (np.random.default_rng([case, 7]) for _ in range(2))
-        got = apply_at_position(spec, x, labels, new_rng)
-        ref_x, ref_labels, ref_lam, ref_grad = _ref_apply(spec, x, labels, ref_rng)
-        where = f"{kind} {np.dtype(dtype).name} case {case} shape {x.shape}"
-        assert _same_bits(got.tensor, ref_x), where
-        assert _same_bits(got.labels, ref_labels), where
-        assert got.lam == ref_lam, where
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, where
-        if ref_grad is None:
-            assert got.grad_fn is None, where
-        else:
-            g = cases.normal(size=x.shape).astype(dtype)
-            assert _same_bits(got.grad_fn(g), ref_grad(g)), where
+        # input-only kinds route no gradient, so they draw no upstream g
+        g = None if kind in INPUT_ONLY_KINDS else cases.normal(size=x.shape).astype(dtype)
+        # the mixing kernels also run at hidden taps, on batch-innermost maps
+        layouts = (np.ascontiguousarray,) + ((batch_innermost_view,)
+                                             if kind in MIXING_KINDS else ())
+        for layout in layouts:
+            new_rng, ref_rng = (np.random.default_rng([case, 7]) for _ in range(2))
+            got = apply_at_position(spec, layout(x), labels, new_rng)
+            ref_x, ref_labels, ref_lam, ref_grad = _ref_apply(spec, x, labels, ref_rng)
+            where = (f"{kind} {np.dtype(dtype).name} {layout.__name__} case {case} "
+                     f"shape {x.shape}")
+            assert _same_bits(got.tensor, ref_x), where
+            assert _same_bits(got.labels, ref_labels), where
+            assert got.lam == ref_lam, where
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state, where
+            if ref_grad is None:
+                assert got.grad_fn is None, where
+            else:
+                assert _same_bits(got.grad_fn(layout(g)), ref_grad(g)), where

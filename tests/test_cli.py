@@ -70,10 +70,47 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"train.pseudo_val_aug.kind": "random_crop", "train.pseudo_val_aug.pad": -1},
      "train.pseudo_val_aug.pad"),
     ({"train.pseudo_val_aug.degree_range": -5.0}, "train.pseudo_val_aug.degree_range"),
+    ({"model.hidden": 35}, "model.hidden"),
+    ({"model.hidden": 0}, "model.hidden"),
+    ({"model.kind": "tiny_cnn", "model.width": 0}, "model.width"),
+    ({"dataset.side": 1}, "dataset.side"),
+    ({"dataset.noise": -1.0}, "dataset.noise"),
+    ({"dataset.seed": -1}, "dataset.seed"),
+    ({"dataset.subsample_count": -5}, "dataset.subsample_count"),
+    ({"dataset.subsample_count": 10, "dataset.subsample_seed": -1}, "dataset.subsample_seed"),
+    ({"dataset.val_count": -10}, "dataset.val_count"),
+    ({"dataset.train_count": -5}, "dataset.train_count"),
+    ({"train.seed": -1}, "train.seed"),
+    ({"train.eval_batch_size": 0}, "train.eval_batch_size"),
+    # mixup on a last training batch of one sample (129 = 2 * 64 + 1)
+    ({"dataset.n": 149, "dataset.train_count": 129, "train.batch_size": 64},
+     "train.batch_size"),
+    # mixup probe on a last test batch of one sample (257 = 256 + 1)
+    ({"dataset.n": 297, "dataset.test_count": 257, "train.probe": True,
+      "train.eval_batch_size": 256}, "train.eval_batch_size"),
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
-    assert main(["validate", "--config", write_config(tmp_path, overrides)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "run"
+    for argv in (["validate", "--config", cfg], ["train", "--config", cfg, "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"dataset.synthetic_kind": "two_gaussians", "dataset.side": 1},
+    {"model.hidden": 1},
+    {"dataset.noise": 0.0},
+    {"dataset.subsample_seed": -1},  # read only when subsample_count is set
+    # a one-sample batch is fine for a kind that does not mix
+    {"dataset.n": 61, "dataset.train_count": 41, "train.batch_size": 40,
+     "train.train_aug.kind": "cutout"},
+])
+def test_edge_configs_that_train_are_accepted(tmp_path, overrides):
+    cfg = write_config(tmp_path, overrides)
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
 
 def test_wrong_value_type_is_a_field_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from adalase.engine.losses import check_soft_labels, cross_entropy, grad_dot, on
 from adalase.engine.network import Network, finite_diff_grad
 from adalase.errors import (DataFormatError, ShapeError, StateError,
                             TapRangeError, ValidationError)
-from conftest import perturb_params, tiny_cnn, tiny_mlp
+from conftest import batch_innermost_view, perturb_params, tiny_cnn, tiny_mlp
 
 
 # ---- losses -----------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_maxpool_backward_matches_put_along_axis_reference(case):
     gy = rng.normal(size=(3, 2, x.shape[2] // 2, x.shape[3] // 2))
     want = _put_along_axis_pool_backward(x, gy)
     pool = MaxPool2x2()
-    for layout in (np.ascontiguousarray, _batch_innermost_view):
+    for layout in (np.ascontiguousarray, batch_innermost_view):
         pool.forward(layout(x))
         got = pool.backward(layout(gy))
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -248,12 +248,6 @@ def _channel_major_view(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
-def _batch_innermost_view(a):
-    """Same values as ``a``, laid out as the (C, H, W, B) buffer behind a
-    (B, C, H, W) view: the layout conv outputs hand to the next layer."""
-    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-
-
 @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 @pytest.mark.parametrize("k,pad", [(k, pad) for k in (1, 2, 3, 5) for pad in range(k)])
 def test_conv_matches_looped_einsum_reference(k, pad, dtype, rtol):
@@ -263,7 +257,7 @@ def test_conv_matches_looped_einsum_reference(k, pad, dtype, rtol):
     x = rng.normal(size=(2, 3, 6, 7)).astype(dtype)
     gy = rng.normal(size=(2, 4, 7 + 2 * pad - k, 8 + 2 * pad - k)).astype(dtype)
     expected = _reference_conv(x, conv.w, conv.b, gy, k, pad)
-    for layout in (np.ascontiguousarray, _channel_major_view, _batch_innermost_view):
+    for layout in (np.ascontiguousarray, _channel_major_view, batch_innermost_view):
         conv.gw[:] = 0
         conv.gb[:] = 0
         xl, gyl = layout(x), layout(gy)
@@ -294,6 +288,17 @@ def test_tap_validation():
 
 def test_backward_before_forward_raises():
     net = tiny_mlp(0)
+    with pytest.raises(StateError):
+        net.backward()
+
+
+@pytest.mark.parametrize("build,side", [(tiny_mlp, 4), (tiny_cnn, 6)])
+def test_backward_after_predict_raises(build, side, rng):
+    # predict on a same-sized batch overwrites the layer caches backward would read
+    net = build(0)
+    x = rng.normal(size=(3, 1, side, side))
+    net.forward_with_tap(x, one_hot([0, 1, 0], 2))
+    net.predict(rng.normal(size=x.shape))
     with pytest.raises(StateError):
         net.backward()
 

@@ -237,6 +237,21 @@ def test_mixing_aug_requires_pairable_batches():
         quick_config(batch_size=1, train_aug=AugSpec(kind="mixup"))
 
 
+@pytest.mark.parametrize("kind", ["mixup", "cutmix"])
+@pytest.mark.parametrize("counts,overrides,field", [
+    ((129, 40), {"batch_size": 64}, "train.batch_size"),  # 129 = 2 * 64 + 1
+    ((80, 257), {"probe": True, "eval_batch_size": 256}, "train.eval_batch_size"),
+])
+def test_one_sample_mixing_batch_rejected_before_training(kind, counts, overrides, field):
+    # splits built in code: no config holds their sizes, so train itself must check
+    splits = small_splits(n=sum(counts), train_count=counts[0], test_count=counts[1])
+    net = tiny_mlp(16)
+    theta = net.param_vector()
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        train(net, splits, quick_config(train_aug=AugSpec(kind=kind), **overrides))
+    assert np.array_equal(net.theta, theta)
+
+
 # ---- probing -------------------------------------------------------------------
 
 def test_probe_with_identity_aug_is_position_independent(rng):
