@@ -1,6 +1,7 @@
 """Command-line front end: train / audit / sweep-kd / validate."""
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -10,8 +11,8 @@ import numpy as np
 from . import config as cfgmod
 from .engine.checkpoint import save_weights
 from .errors import AdalaseError, ConfigError
-from .reporting import (content_hash, write_audit_csv, write_manifest,
-                        write_metrics_csv, write_ratio_csv)
+from .reporting import (atomic_write_text, content_hash, write_audit_csv,
+                        write_manifest, write_metrics_csv, write_ratio_csv)
 from .trainer import audit_worst_layer, train
 
 KD_SWEEP_VALUES = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -85,7 +86,7 @@ def cmd_sweep_kd(args):
     os.makedirs(out, exist_ok=True)
     finals = []
     for kd in KD_SWEEP_VALUES:
-        run_cfg = json.loads(json.dumps(cfg))
+        run_cfg = copy.deepcopy(cfg)
         run_cfg["train"]["adalase"]["d_scale"] = kd
         net = cfgmod.make_network(run_cfg, splits)
         result = train(net, splits, cfgmod.make_train_config(run_cfg))
@@ -95,8 +96,6 @@ def cmd_sweep_kd(args):
     lines = ["kd," + ",".join(f"q_{i}" for i in range(k))]
     for kd, q in finals:
         lines.append(f"{kd:.1f}," + ",".join(f"{v:.12g}" for v in q))
-    from .reporting import atomic_write_text
-
     atomic_write_text(os.path.join(out, "final_ratios.csv"), "\n".join(lines) + "\n")
     write_manifest(os.path.join(out, "manifest.json"), cfg,
                    cfg["train"]["seed"], _input_hash(splits))

@@ -125,6 +125,11 @@ def validate_config(raw):
                f"{ds['synthetic_kind']}", "dataset.side")
         _check(ds["train_count"] + ds["val_count"] + ds["test_count"] <= ds["n"],
                "train+val+test counts exceed n", "dataset")
+        for key, split in (("train_count", "training"), ("test_count", "test")):
+            _check(ds[key] > 0, f"{split} dataset is empty", f"dataset.{key}")
+        _check(ds["subsample_count"] <= ds["train_count"],
+               f"subsample_count {ds['subsample_count']} exceeds train_count "
+               f"{ds['train_count']}", "dataset.subsample_count")
     else:
         path_fields = {
             "idx": ["images_path", "labels_path", "test_images_path", "test_labels_path"],

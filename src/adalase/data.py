@@ -7,12 +7,14 @@ and uint16 labels).
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .augment import MIXING_KINDS, apply_at_position
+from .engine.checkpoint import read_exact
 from .engine.losses import one_hot
 from .errors import ConfigError, DataFormatError, PolicyError
 
@@ -46,36 +48,30 @@ class Dataset:
         return self.images.shape[1:]
 
 
+def _read_idx(path, magic, what):
+    """One IDX file as a uint8 array: big-endian magic, one u32 per dimension
+    (the magic's low byte counts them), then a payload of their product."""
+    with open(path, "rb") as fh:
+        (got,) = struct.unpack(">I", read_exact(fh, 4, f"IDX {what} magic"))
+        if got != magic:
+            raise DataFormatError(f"bad IDX {what} magic 0x{got:08x}")
+        ndim = magic & 0xFF
+        dims = struct.unpack(f">{ndim}I", read_exact(fh, 4 * ndim, f"IDX {what} header"))
+        raw = fh.read()
+    if len(raw) != math.prod(dims):
+        raise DataFormatError(f"IDX {what} payload has {len(raw)} bytes, "
+                              f"expected {math.prod(dims)}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
+
+
 def load_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into a normalized Dataset."""
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise DataFormatError("truncated IDX image header")
-        magic, n, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(f"bad IDX image magic 0x{magic:08x}")
-        raw = fh.read()
-    if len(raw) != n * rows * cols:
-        raise DataFormatError(f"IDX image payload has {len(raw)} bytes, "
-                              f"expected {n * rows * cols}")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
-
-    with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DataFormatError("truncated IDX label header")
-        magic, n_labels = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(f"bad IDX label magic 0x{magic:08x}")
-        raw = fh.read()
-    if len(raw) != n_labels:
-        raise DataFormatError("truncated IDX label payload")
-    if n_labels != n:
-        raise DataFormatError(f"label count {n_labels} != image count {n}")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    num_classes = int(labels.max()) + 1 if n else 0
-    return Dataset(images.astype(np.float64) / 255.0, labels, num_classes)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image")
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label").astype(np.int64)
+    if len(labels) != len(images):
+        raise DataFormatError(f"label count {len(labels)} != image count {len(images)}")
+    num_classes = int(labels.max()) + 1 if len(labels) else 0
+    return Dataset(images[:, None].astype(np.float64) / 255.0, labels, num_classes)
 
 
 def load_cifar_bin(path, num_classes=10):
@@ -108,13 +104,8 @@ def save_raw(ds, path):
 
 def load_raw(path):
     with open(path, "rb") as fh:
-        lenbuf = fh.read(4)
-        if len(lenbuf) != 4:
-            raise DataFormatError("truncated raw-with-header file")
-        (hlen,) = struct.unpack("<I", lenbuf)
-        blob = fh.read(hlen)
-        if len(blob) != hlen:
-            raise DataFormatError("truncated raw-with-header JSON header")
+        (hlen,) = struct.unpack("<I", read_exact(fh, 4, "raw-with-header length"))
+        blob = read_exact(fh, hlen, "raw-with-header JSON header")
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -126,12 +117,8 @@ def load_raw(path):
             raise DataFormatError(f"unsupported dtype {header['dtype']!r}")
         shape = tuple(int(x) for x in header["shape"])
         count = int(np.prod(shape))
-        pix = fh.read(count * 4)
-        if len(pix) != count * 4:
-            raise DataFormatError("truncated raw-with-header pixel payload")
-        lab = fh.read(shape[0] * 2)
-        if len(lab) != shape[0] * 2:
-            raise DataFormatError("truncated raw-with-header label payload")
+        pix = read_exact(fh, count * 4, "raw-with-header pixel payload")
+        lab = read_exact(fh, shape[0] * 2, "raw-with-header label payload")
     images = np.frombuffer(pix, dtype="<f4").reshape(shape)
     labels = np.frombuffer(lab, dtype="<u2").astype(np.int64)
     return Dataset(images.copy(), labels, int(header["num_classes"]),

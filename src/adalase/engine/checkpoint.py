@@ -29,10 +29,11 @@ def save_weights(net, path):
             fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n, what):
+def read_exact(fh, n, what):
+    """The next ``n`` bytes of binary file ``fh``; DataFormatError if it ends first."""
     buf = fh.read(n)
     if len(buf) != n:
-        raise DataFormatError(f"truncated checkpoint while reading {what}")
+        raise DataFormatError(f"{fh.name}: truncated while reading {what}")
     return buf
 
 
@@ -41,23 +42,23 @@ def load_weights(net, path):
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise DataFormatError("bad checkpoint magic, expected ADLW")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
         if version != VERSION:
             raise DataFormatError(f"unsupported checkpoint version {version}")
         for name, p in net.named_params():
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            got_name = _read_exact(fh, name_len, "name").decode("utf-8")
+            (name_len,) = struct.unpack("<I", read_exact(fh, 4, "name length"))
+            got_name = read_exact(fh, name_len, "name").decode("utf-8")
             if got_name != name:
                 raise DataFormatError(f"parameter name mismatch: file has {got_name!r}, "
                                       f"network expects {name!r}")
-            (rank,) = struct.unpack("<Q", _read_exact(fh, 8, "rank"))
+            (rank,) = struct.unpack("<Q", read_exact(fh, 8, "rank"))
             dims = tuple(
-                struct.unpack("<Q", _read_exact(fh, 8, "dim"))[0] for _ in range(rank)
+                struct.unpack("<Q", read_exact(fh, 8, "dim"))[0] for _ in range(rank)
             )
             if dims != p.shape:
                 raise DataFormatError(f"shape mismatch for {name}: file {dims}, network {p.shape}")
             count = int(np.prod(dims)) if dims else 1
-            raw = _read_exact(fh, count * 8, f"values of {name}")
+            raw = read_exact(fh, count * 8, f"values of {name}")
             p[:] = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(p.dtype)
         extra = fh.read(1)
         if extra:

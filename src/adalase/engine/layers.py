@@ -43,6 +43,8 @@ class Layer:
     """Base layer. ``param_names`` lists parameter attributes in declaration
     order; the gradient of parameter ``w`` lives in ``gw``.
 
+    ``forward`` keeps what ``backward`` needs; with ``keep=False`` (a
+    forward-only pass) it keeps no arrays and drops those of the last pass.
     ``backward`` accumulates the parameter gradients and returns the input
     gradient. Layers with parameters take ``input_grad=False`` to skip the
     input gradient and return None, as the network does for layer 0, whose
@@ -63,7 +65,7 @@ class Layer:
         """(checkpoint name, owning layer, attribute) for each parameter, in order."""
         return [(name, self, name) for name in self.param_names]
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         raise NotImplementedError
 
     def backward(self, gy, input_grad=True):
@@ -77,7 +79,7 @@ class Dense(Layer):
         self.declare_affine(out_features, in_features, rng, dtype, bias)
         self._x2 = None
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         b = x.shape[0]
         x2 = x.reshape(b, -1)
         if x2.shape[1] != self.in_features:
@@ -85,7 +87,7 @@ class Dense(Layer):
                 f"dense expects {self.in_features} input features, got {x2.shape[1]} "
                 f"from shape {x.shape}"
             )
-        self._x2 = x2
+        self._x2 = x2 if keep else None
         self._in_shape = x.shape
         y = x2 @ self.w.T
         if self.b is not None:
@@ -120,12 +122,13 @@ class Conv2d(Layer):
         self.pad = pad
         self.declare_affine(out_channels, in_channels * kernel * kernel, rng, dtype, bias)
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         if x.shape[1] != self.in_channels:
             raise ShapeError(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
         self._cols = None  # the last pass's patches go before the next ones are built
-        self._cols, ho, wo = im2col(x, self.kernel, self.pad)
-        y = self.w @ self._cols
+        cols, ho, wo = im2col(x, self.kernel, self.pad)
+        self._cols = cols if keep else None
+        y = self.w @ cols
         if self.b is not None:
             y += self.b[:, None]
         return y.reshape(self.out_channels, ho, wo, x.shape[0]).transpose(3, 0, 1, 2)
@@ -146,8 +149,8 @@ class Conv2d(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x):
-        self._mask = x > 0
+    def forward(self, x, keep=True):
+        self._mask = x > 0 if keep else None
         return np.maximum(x, 0.0)  # NaN stays NaN
 
     def backward(self, gy):
@@ -169,18 +172,20 @@ class MaxPool2x2(Layer):
     NaN, as ``argmax`` would.
     """
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         _, _, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"maxpool needs spatial dims >= 2, got {h}x{w}")
         q = _pool_corners(x)
         y = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
-        # _arg counts the corners before the first one equal to the max or NaN
-        self._arg = np.zeros_like(y, dtype=np.int8)
-        before = True
-        for t in range(3):
-            before = before & (q[t] != y) & (q[t] == q[t])
-            self._arg += before
+        self._arg = None
+        if keep:
+            # _arg counts the corners before the first one equal to the max or NaN
+            self._arg = np.zeros_like(y, dtype=np.int8)
+            before = True
+            for t in range(3):
+                before = before & (q[t] != y) & (q[t] == q[t])
+                self._arg += before
         self._x_shape = x.shape
         return y
 
@@ -205,9 +210,9 @@ class ResidualBlock(Layer):
         return [(f"{conv}.{name}", owner, attr) for conv in ("conv1", "conv2")
                 for name, owner, attr in getattr(self, conv).param_slots()]
 
-    def forward(self, x):
-        h = self.relu1.forward(self.conv1.forward(x))
-        return self.relu2.forward(self.conv2.forward(h) + x)
+    def forward(self, x, keep=True):
+        h = self.relu1.forward(self.conv1.forward(x, keep=keep), keep=keep)
+        return self.relu2.forward(self.conv2.forward(h, keep=keep) + x, keep=keep)
 
     def backward(self, gy, input_grad=True):
         g = self.relu2.backward(gy)
@@ -223,7 +228,7 @@ class Reshape(Layer):
     def __init__(self, channels, height, width):
         self.shape = (channels, height, width)
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         b = x.shape[0]
         if int(np.prod(x.shape[1:])) != int(np.prod(self.shape)):
             raise ShapeError(f"cannot reshape {x.shape[1:]} to {self.shape}")
@@ -235,7 +240,7 @@ class Reshape(Layer):
 
 
 class GlobalAvgPool(Layer):
-    def forward(self, x):
+    def forward(self, x, keep=True):
         self._x_shape = x.shape
         return x.mean(axis=(2, 3), keepdims=True)
 

@@ -70,12 +70,13 @@ class Network:
     def predict(self, x):
         """Plain forward pass; returns (batch, classes) logits.
 
-        The layer caches now belong to ``x``, so a pending backward is disarmed.
+        Layers keep no state for backward (``keep=False``) and drop what the
+        last pass kept, so a pending backward is disarmed.
         """
         self._forward_ready = False
         cur = np.asarray(x)
         for layer in self.layers:
-            cur = layer.forward(cur)
+            cur = layer.forward(cur, keep=False)
         return cur.reshape(cur.shape[0], -1)
 
     def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augment import INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec
 from .data import batch_iter, pseudo_val_batch
-from .engine.losses import cross_entropy, grad_dot, one_hot
+from .engine.losses import grad_dot, one_hot
 from .errors import AuditError, ConfigError, NonFiniteError
 from .ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule,
                      averaged_update, init_ratios, sample_position,
@@ -177,34 +177,25 @@ def evaluate(net, test_set, batch_size=256):
     return correct / len(test_set)
 
 
-def dataset_loss(net, ds, batch_size=256):
-    total, n = 0.0, 0
-    for start in range(0, len(ds), batch_size):
-        x = ds.images[start : start + batch_size]
-        y = one_hot(ds.labels[start : start + batch_size], ds.num_classes)
-        loss, _ = cross_entropy(net.predict(x), y)
-        total += loss * x.shape[0]
-        n += x.shape[0]
-    return total / n
-
-
-def probe_layer_losses(net, val_set, aug, positions, rng, batch_size=256):
-    """Validation loss of the current snapshot with ``aug`` applied at each position.
+def dataset_loss(net, ds, batch_size=256, tap=None, aug=None, rng=None):
+    """Mean loss over ``ds`` in batches, with ``aug`` applied at ``tap`` if given.
 
     Pure read: parameters are untouched (forward only, gradients never taken).
     """
-    losses = []
-    for pos in positions:
-        total, n = 0.0, 0
-        for start in range(0, len(val_set), batch_size):
-            x = val_set.images[start : start + batch_size]
-            y = one_hot(val_set.labels[start : start + batch_size], val_set.num_classes)
-            _, loss, _ = net.forward_with_tap(x, y, tap=pos, aug=aug, rng=rng)
-            total += loss * x.shape[0]
-            n += x.shape[0]
-        losses.append(total / n)
+    total = 0.0
+    for start in range(0, len(ds), batch_size):
+        x = ds.images[start : start + batch_size]
+        y = one_hot(ds.labels[start : start + batch_size], ds.num_classes)
+        _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng)
+        total += loss * x.shape[0]
     net._forward_ready = False
-    return losses
+    return total / len(ds)
+
+
+def probe_layer_losses(net, val_set, aug, positions, rng, batch_size=256):
+    """Validation loss of the current snapshot with ``aug`` applied at each position."""
+    return [dataset_loss(net, val_set, batch_size, tap=pos, aug=aug, rng=rng)
+            for pos in positions]
 
 
 def adalase_iteration(net, train_batch, pseudo_batch, ratios, opt, cfg,

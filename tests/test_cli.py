@@ -80,6 +80,9 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"dataset.subsample_count": 10, "dataset.subsample_seed": -1}, "dataset.subsample_seed"),
     ({"dataset.val_count": -10}, "dataset.val_count"),
     ({"dataset.train_count": -5}, "dataset.train_count"),
+    ({"dataset.train_count": 0}, "dataset.train_count"),
+    ({"dataset.test_count": 0}, "dataset.test_count"),
+    ({"dataset.subsample_count": 50}, "dataset.subsample_count"),  # train_count is 40
     ({"train.seed": -1}, "train.seed"),
     ({"train.eval_batch_size": 0}, "train.eval_batch_size"),
     # mixup on a last training batch of one sample (129 = 2 * 64 + 1)

@@ -9,6 +9,8 @@ from adalase.augment import AugSpec
 from adalase.data import (Dataset, batch_iter, gen_synthetic, load_cifar_bin,
                           load_idx, load_raw, pseudo_val_batch, save_raw,
                           split_dataset, subsample)
+from adalase.engine.builders import build_mlp
+from adalase.engine.checkpoint import load_weights, save_weights
 from adalase.errors import ConfigError, DataFormatError, PolicyError
 
 
@@ -112,6 +114,54 @@ def test_raw_rejects_truncation_and_bad_header(tmp_path, rng):
     bad.write_bytes(struct.pack("<I", 4) + b"oops" + blob[20:])
     with pytest.raises(DataFormatError):
         load_raw(str(bad))
+
+
+# ---- truncation -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["idx-images", "idx-labels", "raw", "adlw"])
+def test_every_truncated_prefix_is_a_format_error(tmp_path, rng, kind):
+    # every loader reads through one truncation check, so a file cut at any
+    # byte fails as malformed, never as a struct, numpy or indexing error
+    images = rng.integers(0, 256, size=(3, 4, 5))
+    labels = np.array([2, 0, 1])
+    img, lab = write_idx_pair(tmp_path, images, labels)
+    ds = Dataset(rng.random(size=(3, 2, 2, 2)).astype(np.float32).astype(np.float64),
+                 labels, 3, split="test")
+    raw = str(tmp_path / "ds.raw")
+    save_raw(ds, raw)
+    net = build_mlp((1, 2, 2), 4, 2, seed=0)
+    ckpt = str(tmp_path / "w.adlw")
+    save_weights(net, ckpt)
+
+    def check_idx(got):
+        assert np.array_equal(got.images, images[:, None] / 255.0)
+        assert np.array_equal(got.labels, labels) and got.num_classes == 3
+
+    def check_raw(got):
+        assert np.array_equal(got.images, ds.images) and np.array_equal(got.labels, labels)
+        assert got.num_classes == 3 and got.split == "test"
+
+    def load_ckpt(path):
+        other = build_mlp((1, 2, 2), 4, 2, seed=1)
+        load_weights(other, path)
+        return other
+
+    def check_ckpt(got):
+        assert np.array_equal(got.param_vector(), net.param_vector())
+
+    path, load, check = {
+        "idx-images": (img, lambda p: load_idx(p, lab), check_idx),
+        "idx-labels": (lab, lambda p: load_idx(img, p), check_idx),
+        "raw": (raw, load_raw, check_raw),
+        "adlw": (ckpt, load_ckpt, check_ckpt),
+    }[kind]
+    check(load(path))
+    blob = open(path, "rb").read()
+    short = str(tmp_path / "short")
+    for cut in range(len(blob)):
+        open(short, "wb").write(blob[:cut])
+        with pytest.raises(DataFormatError):
+            load(short)
 
 
 # ---- dataset container ----------------------------------------------------------------

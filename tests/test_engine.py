@@ -294,7 +294,7 @@ def test_backward_before_forward_raises():
 
 @pytest.mark.parametrize("build,side", [(tiny_mlp, 4), (tiny_cnn, 6)])
 def test_backward_after_predict_raises(build, side, rng):
-    # predict on a same-sized batch overwrites the layer caches backward would read
+    # predict drops the layer caches backward would read
     net = build(0)
     x = rng.normal(size=(3, 1, side, side))
     net.forward_with_tap(x, one_hot([0, 1, 0], 2))
@@ -378,8 +378,8 @@ def test_activations_stay_batch_innermost(monkeypatch):
     def record(layer, name, arg=False):
         forward = layer.forward
 
-        def wrapped(x):
-            y = forward(x)
+        def wrapped(x, **kwargs):
+            y = forward(x, **kwargs)
             outputs.append((name, x if arg else y))
             return y
         monkeypatch.setattr(layer, "forward", wrapped)

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from adalase.augment import AugSpec
-from adalase.data import gen_synthetic, split_dataset
+from adalase.data import Dataset, gen_synthetic, split_dataset
+from adalase.engine.layers import Conv2d, Dense, MaxPool2x2, ReLU, ResidualBlock
 from adalase.engine.losses import one_hot
-from adalase.errors import AuditError, ConfigError, NonFiniteError
+from adalase.errors import AuditError, ConfigError, NonFiniteError, StateError
 from adalase.ratios import AdaLaseConfig, RatioSchedule, init_ratios, sample_position
 from adalase.trainer import (OptimizerState, SelectionAudit, Splits,
                              TrainConfig, adalase_iteration, audit_worst_layer,
                              cosine_lr, dataset_loss, evaluate,
                              probe_layer_losses, sgd_momentum_step, train)
-from conftest import tiny_mlp
+from conftest import tiny_cnn, tiny_mlp
 
 
 def small_splits(seed=0, n=120, train_count=80, test_count=40, noise=0.05):
@@ -337,3 +338,21 @@ def test_dataset_loss_matches_manual_mean():
     y = one_hot(splits.test.labels, 2)
     expected, _ = cross_entropy(net.predict(splits.test.images), y)
     assert dataset_loss(net, splits.test, batch_size=13) == pytest.approx(expected)
+
+
+def test_evaluate_keeps_no_state_for_backward(rng):
+    # a forward-only pass drops every array backward would read; conv patches are the largest
+    net = tiny_cnn(20)
+    net.forward_with_tap(rng.normal(size=(4, 1, 6, 6)), one_hot([0, 1, 1, 0], 2))
+    evaluate(net, Dataset(rng.random(size=(10, 1, 6, 6)), np.arange(10) % 2, 2), batch_size=4)
+    leaves = []
+    for layer in net.layers:
+        block = isinstance(layer, ResidualBlock)
+        leaves += [layer.conv1, layer.relu1, layer.conv2, layer.relu2] if block else [layer]
+    assert sum(isinstance(leaf, Conv2d) for leaf in leaves) == 5
+    kept = {Conv2d: "_cols", ReLU: "_mask", MaxPool2x2: "_arg", Dense: "_x2"}
+    for leaf in leaves:
+        if type(leaf) in kept:
+            assert getattr(leaf, kept[type(leaf)]) is None, type(leaf).__name__
+    with pytest.raises(StateError):
+        net.backward()
