@@ -80,9 +80,6 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"dataset.subsample_count": 10, "dataset.subsample_seed": -1}, "dataset.subsample_seed"),
     ({"dataset.val_count": -10}, "dataset.val_count"),
     ({"dataset.train_count": -5}, "dataset.train_count"),
-    ({"dataset.train_count": 0}, "dataset.train_count"),
-    ({"dataset.test_count": 0}, "dataset.test_count"),
-    ({"dataset.subsample_count": 50}, "dataset.subsample_count"),  # train_count is 40
     ({"train.seed": -1}, "train.seed"),
     ({"train.eval_batch_size": 0}, "train.eval_batch_size"),
     # mixup on a last training batch of one sample (129 = 2 * 64 + 1)
@@ -91,6 +88,9 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     # mixup probe on a last test batch of one sample (257 = 256 + 1)
     ({"dataset.n": 297, "dataset.test_count": 257, "train.probe": True,
       "train.eval_batch_size": 256}, "train.eval_batch_size"),
+    ({"dataset.train_count": 0}, "dataset.train_count"),
+    ({"dataset.test_count": 0}, "dataset.test_count"),
+    ({"dataset.subsample_count": 50}, "dataset.subsample_count"),  # train_count is 40
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
