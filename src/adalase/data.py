@@ -115,14 +115,19 @@ def load_raw(path):
                 raise DataFormatError(f"raw-with-header missing key {key!r}")
         if header["dtype"] != "f32le":
             raise DataFormatError(f"unsupported dtype {header['dtype']!r}")
-        shape = tuple(int(x) for x in header["shape"])
-        count = int(np.prod(shape))
-        pix = read_exact(fh, count * 4, "raw-with-header pixel payload")
+        shape, num_classes = header["shape"], header["num_classes"]
+        if not (isinstance(shape, list) and shape
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise DataFormatError(f"raw-with-header 'shape' must be a non-empty list of "
+                                  f"integers >= 0, got {shape!r}")
+        if type(num_classes) is not int or num_classes < 1:
+            raise DataFormatError(f"raw-with-header 'num_classes' must be an integer "
+                                  f">= 1, got {num_classes!r}")
+        pix = read_exact(fh, math.prod(shape) * 4, "raw-with-header pixel payload")
         lab = read_exact(fh, shape[0] * 2, "raw-with-header label payload")
     images = np.frombuffer(pix, dtype="<f4").reshape(shape)
     labels = np.frombuffer(lab, dtype="<u2").astype(np.int64)
-    return Dataset(images.copy(), labels, int(header["num_classes"]),
-                   split=header.get("split", "train"))
+    return Dataset(images.copy(), labels, num_classes, split=header.get("split", "train"))
 
 
 def gen_synthetic(kind, n, seed, side=8, noise=0.1, separation=4.0):

@@ -46,11 +46,13 @@ def build_tiny_cnn(input_shape, num_classes, seed, width=8, dtype=np.float64):
     return Network(layers, taps=[0, 2, 3, 5])
 
 
-def build_network(model_cfg, input_shape, num_classes, seed, dtype=np.float64):
+def build_network(model_cfg, input_shape, num_classes, seed):
+    """The network ``model_cfg`` names, computing in float32."""
     kind = model_cfg["kind"]
     if kind == "mlp":
-        return build_mlp(input_shape, model_cfg["hidden"], num_classes, seed, dtype=dtype)
+        return build_mlp(input_shape, model_cfg["hidden"], num_classes, seed,
+                         dtype=np.float32)
     if kind == "tiny_cnn":
         return build_tiny_cnn(input_shape, num_classes, seed, width=model_cfg["width"],
-                              dtype=dtype)
+                              dtype=np.float32)
     raise ValueError(f"unknown model kind {kind!r}")

@@ -68,27 +68,31 @@ class Network:
     # ---- forward / backward -------------------------------------------------
 
     def predict(self, x):
-        """Plain forward pass; returns (batch, classes) logits.
+        """Plain forward pass in ``theta``'s dtype; returns (batch, classes) logits.
 
         Layers keep no state for backward (``keep=False``) and drop what the
         last pass kept, so a pending backward is disarmed.
         """
         self._forward_ready = False
-        cur = np.asarray(x)
+        cur = np.asarray(x, dtype=self.theta.dtype)
         for layer in self.layers:
             cur = layer.forward(cur, keep=False)
         return cur.reshape(cur.shape[0], -1)
 
-    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None):
+    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True):
         """Forward pass with one optional augmentation injected at tap ``tap``.
 
         Returns (logits, loss, mixed_labels). With aug=None (or kind "none")
-        or tap=None the result is bitwise identical to a tapless pass.
+        or tap=None the result is bitwise identical to a tapless pass. Input
+        and labels are cast to ``theta``'s dtype, so the network computes in
+        the dtype of its parameters. With ``keep=False`` (a loss-only pass)
+        layers keep nothing for backward, and a later ``backward`` raises
+        StateError.
         """
         from ..augment import apply_at_position  # deferred: augment needs engine.losses
 
-        x = np.asarray(x)
-        labels = check_soft_labels(labels)
+        x = np.asarray(x, dtype=self.theta.dtype)
+        labels = check_soft_labels(np.asarray(labels, dtype=self.theta.dtype))
         if x.ndim != 4:
             raise ShapeError(f"input must be rank-4 (B,C,H,W), got shape {x.shape}")
         if x.shape[0] != labels.shape[0]:
@@ -107,7 +111,7 @@ class Network:
                 cur = outcome.tensor
                 cur_labels = outcome.labels
                 aug_grad_fn = outcome.grad_fn
-            cur = layer.forward(cur)
+            cur = layer.forward(cur, keep=keep)
 
         logits = cur.reshape(cur.shape[0], -1)
         loss, dlogits = cross_entropy(logits, cur_labels)
@@ -115,7 +119,7 @@ class Network:
         self._logits_shape = cur.shape
         self._tap_layer = tap_layer if apply_aug else -1
         self._aug_grad_fn = aug_grad_fn
-        self._forward_ready = True
+        self._forward_ready = keep
         return logits, loss, cur_labels
 
     def backward(self):
@@ -142,8 +146,13 @@ def finite_diff_grad(net, x, labels, eps=1e-5, tap=None, aug=None, rng_seed=None
     """Central-difference gradient oracle over all parameters (64-bit only).
 
     When an augmentation is supplied, every loss evaluation re-seeds its rng
-    from ``rng_seed`` so the stochastic pass is held fixed.
+    from ``rng_seed`` so the stochastic pass is held fixed. In float32 a bump
+    of ``eps`` is lost in the loss's rounding, so a ``theta`` that is not
+    float64 raises StateError.
     """
+    if net.theta.dtype != np.float64:
+        raise StateError(f"finite_diff_grad needs a float64 network, got theta dtype "
+                         f"{net.theta.dtype}")
 
     def loss_at(vec):
         net.set_param_vector(vec)

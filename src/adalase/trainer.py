@@ -180,15 +180,15 @@ def evaluate(net, test_set, batch_size=256):
 def dataset_loss(net, ds, batch_size=256, tap=None, aug=None, rng=None):
     """Mean loss over ``ds`` in batches, with ``aug`` applied at ``tap`` if given.
 
-    Pure read: parameters are untouched (forward only, gradients never taken).
+    Pure read: parameters are untouched (forward only, gradients never taken),
+    and layers keep nothing for backward.
     """
     total = 0.0
     for start in range(0, len(ds), batch_size):
         x = ds.images[start : start + batch_size]
         y = one_hot(ds.labels[start : start + batch_size], ds.num_classes)
-        _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng)
+        _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng, keep=False)
         total += loss * x.shape[0]
-    net._forward_ready = False
     return total / len(ds)
 
 
@@ -252,7 +252,7 @@ def train(net, splits, cfg, train_seed=None):
     else:
         ratios = AcceptanceRatios(q=schedule_ratios(cfg.schedule, k), d=d)
 
-    opt = OptimizerState(velocity=np.zeros(net.num_params()), momentum=cfg.momentum,
+    opt = OptimizerState(velocity=np.zeros_like(net.theta), momentum=cfg.momentum,
                          base_lr=cfg.base_lr, current_lr=cfg.base_lr,
                          total_steps=total_steps)
     pos_rng = np.random.default_rng([seed, _POS])

@@ -24,13 +24,13 @@ def batch_innermost_view(a):
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
-def tiny_mlp(seed, side=4, hidden=4, classes=2):
-    net = build_mlp((1, side, side), hidden, classes, seed)
+def tiny_mlp(seed, side=4, hidden=4, classes=2, dtype=np.float64):
+    net = build_mlp((1, side, side), hidden, classes, seed, dtype=dtype)
     return perturb_params(net, np.random.default_rng([seed, 97]))
 
 
-def tiny_cnn(seed, side=6, classes=2, width=2):
-    net = build_tiny_cnn((1, side, side), classes, seed, width=width)
+def tiny_cnn(seed, side=6, classes=2, width=2, dtype=np.float64):
+    net = build_tiny_cnn((1, side, side), classes, seed, width=width, dtype=dtype)
     return perturb_params(net, np.random.default_rng([seed, 97]))
 
 

@@ -13,6 +13,7 @@ import pytest
 from adalase import config as cfgmod
 from adalase.augment import AugSpec, apply_at_position, cutout, mixup, cutmix
 from adalase.data import gen_synthetic, split_dataset
+from adalase.engine.builders import build_mlp, build_tiny_cnn
 from adalase.engine.losses import grad_dot, one_hot
 from adalase.engine.network import finite_diff_grad
 from adalase.ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule,
@@ -367,3 +368,48 @@ def test_acceptance_adaptive_matches_uniform_accuracy(capsys):
                   f"{gap:+.4f} exceeds 0.02; inspect per-seed metrics and the "
                   "ratio trajectories before treating this as a regression")
     assert elapsed < 3600
+
+
+# 11 ----------------------------------------------------------------------------
+
+def _float64_twin(cfg, splits, seed):
+    """The network ``make_network`` builds for ``cfg``, in float64."""
+    mdl, shape, classes = cfg["model"], splits.train.input_shape, splits.train.num_classes
+    if mdl["kind"] == "mlp":
+        return build_mlp(shape, mdl["hidden"], classes, seed, dtype=np.float64)
+    return build_tiny_cnn(shape, classes, seed, width=mdl["width"], dtype=np.float64)
+
+
+def test_acceptance_float32_matches_float64(capsys):
+    """Config-built networks compute in float32. On mlp-fig3 and on a smaller
+    copy of cnn-adalase, over 8 seeds each, float32 ends within 0.02 of
+    float64's final test accuracy on average, and within 0.05 max-abs of its
+    final q on every seed."""
+    start = time.perf_counter()
+    small_cnn = cfgmod.load_config("cnn-adalase")
+    small_cnn["dataset"].update(n=600, train_count=500, test_count=100)
+    small_cnn["train"]["epochs"] = 3
+    details, ok = [], True
+    for name, cfg in (("mlp-fig3", cfgmod.load_config("mlp-fig3")), ("cnn-adalase", small_cnn)):
+        splits = cfgmod.make_splits(cfg)
+        train_cfg = cfgmod.make_train_config(cfg)
+        acc_gaps, q_gaps = [], []
+        for seed in range(8):
+            finals = []
+            for net in (cfgmod.make_network(cfg, splits, seed=seed),
+                        _float64_twin(cfg, splits, seed)):
+                result = train(net, splits, train_cfg, train_seed=seed)
+                finals.append((net.theta.dtype, result.report[-1].test_acc,
+                               np.array(result.final_ratios.q)))
+            (dt32, acc32, q32), (dt64, acc64, q64) = finals
+            assert (dt32, dt64) == (np.float32, np.float64)
+            acc_gaps.append(acc32 - acc64)
+            q_gaps.append(float(np.abs(q32 - q64).max()))
+        mean_gap = float(np.mean(acc_gaps))
+        ok = ok and abs(mean_gap) <= 0.02 and max(q_gaps) <= 0.05
+        details.append(f"{name}: mean acc gap {mean_gap:+.4f}, max final-q gap "
+                       f"{max(q_gaps):.2e}")
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed < 600
+    report(capsys, "float32 parity", ok, f"{'; '.join(details)}, 8 seeds each, {elapsed:.1f}s")
+    assert ok

@@ -1,5 +1,6 @@
 """Dataset loaders, synthetic generators, splits, and batch iteration."""
 
+import json
 import struct
 
 import numpy as np
@@ -162,6 +163,25 @@ def test_every_truncated_prefix_is_a_format_error(tmp_path, rng, kind):
         open(short, "wb").write(blob[:cut])
         with pytest.raises(DataFormatError):
             load(short)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("shape", []), ("shape", ["a"]), ("shape", 5), ("shape", [1, 1, -1, 1]),
+    ("num_classes", "x"), ("num_classes", 0),
+])
+def test_raw_header_values_are_checked(tmp_path, key, value):
+    # a bad header value is a format error naming its key, never an indexing,
+    # conversion or type error, even when the payload holds enough bytes
+    def write(header):
+        blob = json.dumps({"dtype": "f32le", **header}).encode("utf-8")
+        path = tmp_path / "ds.raw"
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + bytes(64))
+        return str(path)
+
+    good = {"shape": [1, 1, 1, 1], "num_classes": 2}
+    assert len(load_raw(write(good))) == 1
+    with pytest.raises(DataFormatError, match=f"'{key}'"):
+        load_raw(write({**good, key: value}))
 
 
 # ---- dataset container ----------------------------------------------------------------

@@ -105,6 +105,13 @@ def test_finite_diff_zero_for_constant_loss():
     assert np.allclose(g, 0.0, atol=1e-9)
 
 
+def test_finite_diff_rejects_float32_network():
+    # a float32 loss cannot resolve a 1e-5 bump: the oracle would be silently wrong
+    net = tiny_mlp(3, dtype=np.float32)
+    with pytest.raises(StateError, match="float32"):
+        finite_diff_grad(net, np.zeros((1, 1, 4, 4)), one_hot([1], 2))
+
+
 def test_relu_masks_gradient():
     layer = ReLU()
     x = np.array([[-1.0, 2.0]]).reshape(1, 2, 1, 1)
@@ -523,13 +530,16 @@ def test_augmented_gradient_matches_finite_differences(kind, rng):
 # ---- checkpoints ------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path, rng):
-    net = tiny_cnn(21)
-    path = os.path.join(tmp_path, "w.adlw")
-    save_weights(net, path)
-    other = tiny_cnn(22)
-    assert not np.array_equal(other.param_vector(), net.param_vector())
-    load_weights(other, path)
-    assert np.array_equal(other.param_vector(), net.param_vector())
+    # ADLW stores float64, which holds every float32 value exactly
+    for dtype in (np.float64, np.float32):
+        net = tiny_cnn(21, dtype=dtype)
+        path = os.path.join(tmp_path, "w.adlw")
+        save_weights(net, path)
+        other = tiny_cnn(22, dtype=dtype)
+        assert not np.array_equal(other.param_vector(), net.param_vector())
+        load_weights(other, path)
+        assert other.theta.dtype == dtype
+        assert other.theta.tobytes() == net.theta.tobytes()
 
 
 def test_checkpoint_rejects_wrong_topology(tmp_path):

@@ -11,6 +11,7 @@ from adalase.data import Dataset, gen_synthetic, split_dataset
 from adalase.engine.layers import Conv2d, Dense, MaxPool2x2, ReLU, ResidualBlock
 from adalase.engine.losses import one_hot
 from adalase.errors import AuditError, ConfigError, NonFiniteError, StateError
+from adalase import trainer
 from adalase.ratios import AdaLaseConfig, RatioSchedule, init_ratios, sample_position
 from adalase.trainer import (OptimizerState, SelectionAudit, Splits,
                              TrainConfig, adalase_iteration, audit_worst_layer,
@@ -340,15 +341,21 @@ def test_dataset_loss_matches_manual_mean():
     assert dataset_loss(net, splits.test, batch_size=13) == pytest.approx(expected)
 
 
+def _leaves(net):
+    """Every layer of ``net`` with the residual blocks opened up."""
+    leaves = []
+    for layer in net.layers:
+        block = isinstance(layer, ResidualBlock)
+        leaves += [layer.conv1, layer.relu1, layer.conv2, layer.relu2] if block else [layer]
+    return leaves
+
+
 def test_evaluate_keeps_no_state_for_backward(rng):
     # a forward-only pass drops every array backward would read; conv patches are the largest
     net = tiny_cnn(20)
     net.forward_with_tap(rng.normal(size=(4, 1, 6, 6)), one_hot([0, 1, 1, 0], 2))
     evaluate(net, Dataset(rng.random(size=(10, 1, 6, 6)), np.arange(10) % 2, 2), batch_size=4)
-    leaves = []
-    for layer in net.layers:
-        block = isinstance(layer, ResidualBlock)
-        leaves += [layer.conv1, layer.relu1, layer.conv2, layer.relu2] if block else [layer]
+    leaves = _leaves(net)
     assert sum(isinstance(leaf, Conv2d) for leaf in leaves) == 5
     kept = {Conv2d: "_cols", ReLU: "_mask", MaxPool2x2: "_arg", Dense: "_x2"}
     for leaf in leaves:
@@ -356,3 +363,66 @@ def test_evaluate_keeps_no_state_for_backward(rng):
             assert getattr(leaf, kept[type(leaf)]) is None, type(leaf).__name__
     with pytest.raises(StateError):
         net.backward()
+
+
+def test_loss_only_passes_keep_no_patches():
+    # the val-loss pass and the probes only read the loss, so they keep no conv patches,
+    # and they return the same loss bitwise as passes that keep them
+    splits = small_splits()
+    net = tiny_cnn(24, side=4)
+    convs = [leaf for leaf in _leaves(net) if isinstance(leaf, Conv2d)]
+    aug = AugSpec(kind="mixup", alpha=1.0)
+    ds = splits.test
+    for tap in range(net.num_taps):
+        rng = np.random.default_rng(tap)
+        want = 0.0
+        for start in range(0, len(ds), 16):
+            x = ds.images[start : start + 16]
+            y = one_hot(ds.labels[start : start + 16], 2)
+            _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng)
+            want += loss * x.shape[0]
+        want /= len(ds)
+        assert all(conv._cols is not None for conv in convs)
+        got = dataset_loss(net, ds, 16, tap=tap, aug=aug, rng=np.random.default_rng(tap))
+        assert got == want
+        assert all(conv._cols is None for conv in convs)
+        with pytest.raises(StateError):
+            net.backward()
+
+
+@pytest.mark.parametrize("model", ["tiny_cnn", "tiny_mlp"])
+@pytest.mark.parametrize("aug", ["none", "mixup"])
+def test_float32_network_computes_in_float32(monkeypatch, model, aug):
+    # float64 data and labels go in; every activation, gradient and update stays float32
+    seen = []
+    for cls in (Conv2d, ReLU, MaxPool2x2):
+        def forward(self, x, keep=True, _original=cls.forward):
+            out = _original(self, x, keep=keep)
+            seen.append((type(self).__name__, out.dtype))
+            return out
+        monkeypatch.setattr(cls, "forward", forward)
+    opts = []
+    original_step = trainer.sgd_momentum_step
+    def step(net, grads, opt):
+        opts.append(opt)
+        return original_step(net, grads, opt)
+    monkeypatch.setattr(trainer, "sgd_momentum_step", step)
+
+    splits = small_splits()
+    net = {"tiny_cnn": tiny_cnn, "tiny_mlp": tiny_mlp}[model](25, side=4, dtype=np.float32)
+    x = splits.train.images[:8]
+    y = one_hot(splits.train.labels[:8], 2)
+    assert x.dtype == y.dtype == np.float64
+    spec = AugSpec(kind=aug, alpha=1.0)
+    logits, _, mixed = net.forward_with_tap(x, y, tap=1, aug=spec, rng=np.random.default_rng(0))
+    assert logits.dtype == mixed.dtype == np.float32
+    assert net.backward().dtype == np.float32
+    assert net.predict(x).dtype == np.float32
+    cfg = quick_config(epochs=1, train_aug=spec)
+    train(net, splits, cfg)
+    assert net.theta.dtype == np.float32
+    assert opts and all(opt.velocity.dtype == np.float32 for opt in opts)
+    names = {name for name, _ in seen}
+    assert names == ({"Conv2d", "ReLU", "MaxPool2x2"} if model == "tiny_cnn" else {"ReLU"})
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
