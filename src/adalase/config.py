@@ -140,6 +140,13 @@ def validate_config(raw):
             _check(bool(ds[f]), f"{f} is required for kind {ds['kind']!r}", f"dataset.{f}")
             _check(os.path.exists(ds[f]), f"path does not exist: {ds[f]}", f"dataset.{f}")
     train_cfg = make_train_config(cfg)
+    # keys the run would silently ignore: only their defaults are accepted
+    tr, default_tr = cfg["train"], DEFAULTS["train"]
+    _check(tr["update_cadence"] != "epoch"
+           or tr["adalase"]["avg_window"] == default_tr["adalase"]["avg_window"],
+           "avg_window is read only under update_cadence 'window'", "train.adalase.avg_window")
+    _check(tr["val_mode"] != "true" or tr["pseudo_val_aug"] == default_tr["pseudo_val_aug"],
+           "pseudo_val_aug is read only under val_mode 'pseudo'", "train.pseudo_val_aug")
     if synthetic:
         check_mixing_batches(train_cfg, ds["subsample_count"] or ds["train_count"],
                              ds["val_count"] or ds["test_count"])

@@ -91,6 +91,10 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"dataset.train_count": 0}, "dataset.train_count"),
     ({"dataset.test_count": 0}, "dataset.test_count"),
     ({"dataset.subsample_count": 50}, "dataset.subsample_count"),  # train_count is 40
+    # keys the run would ignore
+    ({"train.adalase.avg_window": 4}, "train.adalase.avg_window"),
+    ({"train.val_mode": "true", "train.pseudo_val_aug.degree_range": 30.0},
+     "train.pseudo_val_aug"),
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -109,6 +113,7 @@ def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field)
     # a one-sample batch is fine for a kind that does not mix
     {"dataset.n": 61, "dataset.train_count": 41, "train.batch_size": 40,
      "train.train_aug.kind": "cutout"},
+    {"train.update_cadence": "window", "train.adalase.avg_window": 4},
 ])
 def test_edge_configs_that_train_are_accepted(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)

@@ -280,6 +280,31 @@ def test_conv_matches_looped_einsum_reference(k, pad, dtype, rtol):
                                        err_msg=msg)
 
 
+@pytest.mark.parametrize("b,c,o,h,w,k,pad,dtype,rtol", [
+    (1, 3, 4, 6, 7, 3, 1, np.float64, 1e-12),  # one-sample batch
+    (2, 3, 4, 3, 6, 3, 0, np.float64, 1e-12),  # Ho = 1: each row-offset view is one padded row
+    (2, 3, 4, 6, 3, 3, 0, np.float64, 1e-12),  # Wo = 1
+    (64, 8, 8, 8, 8, 3, 1, np.float32, 1e-5),  # tiny_cnn block at 8x8
+    (64, 8, 8, 4, 4, 3, 1, np.float32, 1e-5),  # tiny_cnn block at 4x4
+    (64, 1, 8, 8, 8, 3, 1, np.float32, 1e-5),  # tiny_cnn stem
+], ids=["batch1", "ho1", "wo1", "block8x8", "block4x4", "stem"])
+def test_conv_row_offset_edges_match_reference(b, c, o, h, w, k, pad, dtype, rtol):
+    rng = np.random.default_rng(b + h + w)
+    conv = Conv2d(c, o, k, rng, pad=pad, dtype=dtype)
+    conv.b[:] = rng.normal(size=o)
+    x = batch_innermost_view(rng.normal(size=(b, c, h, w)).astype(dtype))
+    gy = batch_innermost_view(
+        rng.normal(size=(b, o, h + 2 * pad - k + 1, w + 2 * pad - k + 1)).astype(dtype))
+    expected = _reference_conv(*(a.astype(np.float64) for a in (x, conv.w, conv.b, gy)),
+                               k, pad)
+    y = conv.forward(x)
+    gx = conv.backward(gy)
+    for name, got, want in zip(("y", "gw", "gb", "gx"), (y, conv.gw, conv.gb, gx), expected):
+        assert got.dtype == dtype and got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max(),
+                                   err_msg=name)
+
+
 # ---- network plumbing -------------------------------------------------------
 
 def test_tap_validation():

@@ -390,6 +390,20 @@ def test_loss_only_passes_keep_no_patches():
             net.backward()
 
 
+def test_training_forward_keeps_width_only_patches(rng):
+    # each conv keeps C*k*(H+2p)*Wo*B patch values: its unfold runs along the width only
+    b, side = 5, 6
+    net = tiny_cnn(25, side=side, width=3)
+    net.forward_with_tap(rng.normal(size=(b, 1, side, side)), one_hot(np.arange(b) % 2, 2))
+    convs = [leaf for leaf in _leaves(net) if isinstance(leaf, Conv2d)]
+    sides = [side] * 3 + [side // 2] * 2  # the stem and block 1, then block 2 after the pool
+    assert len(convs) == len(sides)
+    for conv, h in zip(convs, sides):
+        k, p = conv.kernel, conv.pad
+        want = conv.in_channels * k * (h + 2 * p) * (h + 2 * p - k + 1) * b
+        assert conv._cols.size == want
+
+
 @pytest.mark.parametrize("model", ["tiny_cnn", "tiny_mlp"])
 @pytest.mark.parametrize("aug", ["none", "mixup"])
 def test_float32_network_computes_in_float32(monkeypatch, model, aug):
