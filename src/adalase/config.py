@@ -204,6 +204,8 @@ def make_splits(cfg):
         else:
             load = load_cifar_bin if ds["kind"] == "cifar" else load_raw
             train, test = load(ds["path"]), load(ds["test_path"])
+        n = max(train.num_classes, test.num_classes)  # one label space per run
+        train, test = (dataclasses.replace(d, num_classes=n) for d in (train, test))
         val = None
         if ds["val_count"]:
             _check(0 < ds["val_count"] < len(train),

@@ -5,6 +5,7 @@ declaration order: name length (u32 LE), UTF-8 name, rank (u64 LE), dims
 (u64 LE each), raw little-endian float64 values.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -57,8 +58,7 @@ def load_weights(net, path):
             )
             if dims != p.shape:
                 raise DataFormatError(f"shape mismatch for {name}: file {dims}, network {p.shape}")
-            count = int(np.prod(dims)) if dims else 1
-            raw = read_exact(fh, count * 8, f"values of {name}")
+            raw = read_exact(fh, math.prod(dims) * 8, f"values of {name}")
             p[:] = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(p.dtype)
         extra = fh.read(1)
         if extra:

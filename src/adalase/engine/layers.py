@@ -11,6 +11,8 @@ every patch copy in ``im2col`` moves runs of B contiguous values, and the
 conv backward reads its output gradient as a matrix without a copy.
 """
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeError
@@ -259,7 +261,7 @@ class Reshape(Layer):
 
     def forward(self, x, keep=True):
         b = x.shape[0]
-        if int(np.prod(x.shape[1:])) != int(np.prod(self.shape)):
+        if math.prod(x.shape[1:]) != math.prod(self.shape):
             raise ShapeError(f"cannot reshape {x.shape[1:]} to {self.shape}")
         self._in_shape = x.shape
         return x.reshape(b, *self.shape)

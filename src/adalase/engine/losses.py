@@ -39,8 +39,9 @@ def cross_entropy(logits, soft_labels):
         raise ShapeError(f"logits {logits.shape} vs labels {soft_labels.shape}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total
+    log_probs = shifted - np.log(total)
     batch = logits.shape[0]
     loss = float(-(soft_labels * log_probs).sum() / batch)
     dlogits = (probs - soft_labels) / batch

@@ -117,7 +117,7 @@ class Network:
         loss, dlogits = cross_entropy(logits, cur_labels)
         self._dlogits = dlogits
         self._logits_shape = cur.shape
-        self._tap_layer = tap_layer if apply_aug else -1
+        self._tap_layer = tap_layer
         self._aug_grad_fn = aug_grad_fn
         self._forward_ready = keep
         return logits, loss, cur_labels

@@ -27,10 +27,6 @@ class AcceptanceRatios:
     q: np.ndarray
     d: float
 
-    @property
-    def num_positions(self):
-        return self.q.shape[0]
-
 
 @dataclass
 class AdaLaseConfig:

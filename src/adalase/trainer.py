@@ -3,10 +3,12 @@
 Each iteration (adaptive mode): compute the pseudo-validation gradient at the
 current weights, sample a tap position from the acceptance ratios, take a
 momentum-SGD step on the tap-augmented training loss, and buffer the inner
-product of the two gradients for the windowed ratio update. Cosine annealing
-drives the learning rate. Separate seeded rng streams back position sampling,
-augmentation, pseudo-validation draws, the uniform audit counterfactual, and
-probing, so enabling one feature never perturbs another.
+product of the two gradients. A full buffer is flushed into one averaged ratio
+update: ``avg_window`` entries, or one epoch's iterations under the "epoch"
+cadence. Cosine annealing drives the learning rate. Separate seeded rng
+streams back position sampling, augmentation, pseudo-validation draws, the
+uniform audit counterfactual, and probing, so enabling one feature never
+perturbs another.
 """
 
 import logging
@@ -150,7 +152,6 @@ class SelectionAudit:
     """Per-iteration selections plus the probe-derived worst position per epoch."""
     selected: list = field(default_factory=list)
     uniform_selected: list = field(default_factory=list)
-    epoch_of_iter: list = field(default_factory=list)
     worst_by_epoch: list = field(default_factory=list)
 
     @property
@@ -238,6 +239,9 @@ def train(net, splits, cfg, train_seed=None):
         raise ConfigError("training dataset is empty")
     if len(splits.test) == 0:
         raise ConfigError("test dataset is empty")
+    counts = {ds.num_classes for ds in (train_set, splits.test, splits.val) if ds is not None}
+    if len(counts) > 1:
+        raise ConfigError(f"splits disagree on the class count: {sorted(counts)}")
     val_source = splits.val if splits.val is not None else splits.test
     check_mixing_batches(cfg, len(train_set), len(val_source))
     seed = cfg.seed if train_seed is None else train_seed
@@ -262,6 +266,10 @@ def train(net, splits, cfg, train_seed=None):
 
     if splits.val is None and ((adaptive and cfg.val_mode == "true") or cfg.probe):
         log.warning("no validation split: val_mode 'true' batches and probes use the test split")
+    pseudo_source, pseudo_aug = ((val_source, AugSpec(kind="none")) if cfg.val_mode == "true"
+                                 else (train_set, cfg.pseudo_val_aug))
+    window = cfg.adalase.avg_window if cfg.update_cadence == "window" else iters_per_epoch
+    updating = adaptive and cfg.ratio_updates
     audit = SelectionAudit()
     buffer = []
     report = []
@@ -271,17 +279,8 @@ def train(net, splits, cfg, train_seed=None):
         losses, pseudo_losses = [], []
         for it, (bx, by) in enumerate(batch_iter(train_set, cfg.batch_size, seed, epoch)):
             labels = one_hot(by, num_classes)
-            pseudo_batch = None
-            if adaptive:
-                if cfg.val_mode == "true":
-                    idx = pseudo_rng.choice(len(val_source),
-                                            size=min(cfg.batch_size, len(val_source)),
-                                            replace=False)
-                    pseudo_batch = (val_source.images[idx],
-                                    one_hot(val_source.labels[idx], num_classes))
-                else:
-                    pseudo_batch = pseudo_val_batch(train_set, cfg.batch_size,
-                                                    cfg.pseudo_val_aug, pseudo_rng)
+            pseudo_batch = (pseudo_val_batch(pseudo_source, cfg.batch_size, pseudo_aug,
+                                             pseudo_rng) if adaptive else None)
             try:
                 loss, ploss, l, dot = adalase_iteration(
                     net, (bx, labels), pseudo_batch, ratios, opt, cfg, pos_rng, aug_rng)
@@ -292,15 +291,11 @@ def train(net, splits, cfg, train_seed=None):
                 pseudo_losses.append(ploss)
             audit.selected.append(l)
             audit.uniform_selected.append(int(uniform_rng.integers(0, k)))
-            audit.epoch_of_iter.append(epoch)
-            if adaptive and cfg.ratio_updates and dot is not None:
+            if updating:
                 buffer.append((l, dot))
-                if cfg.update_cadence == "window" and len(buffer) >= cfg.adalase.avg_window:
+                if len(buffer) >= window:
                     ratios = averaged_update(ratios, buffer, cfg.adalase)
                     buffer = []
-        if adaptive and cfg.ratio_updates and cfg.update_cadence == "epoch" and buffer:
-            ratios = averaged_update(ratios, buffer, cfg.adalase)
-            buffer = []
 
         probe = None
         if cfg.probe:
@@ -332,8 +327,9 @@ def audit_worst_layer(audit):
 
     x = (n_ada - n_uni) / n_all, where n_ada / n_uni count how often the
     adaptive path / a paired uniform draw hit the probed worst position of
-    the iteration's epoch. y = spread of worst-position tallies / n_all
-    (|n_p0 - n_p1| when there are two positions).
+    the iteration's epoch (every epoch has the same number of iterations).
+    y = spread of worst-position tallies / n_all (|n_p0 - n_p1| when there
+    are two positions).
     """
     if not audit.worst_by_epoch:
         raise AuditError("no probe data recorded; enable probing to audit selections")
@@ -341,8 +337,8 @@ def audit_worst_layer(audit):
         raise AuditError("no iterations recorded")
     n_ada = n_uni = 0
     tallies = {}
-    for sel, uni, epoch in zip(audit.selected, audit.uniform_selected, audit.epoch_of_iter):
-        worst = audit.worst_by_epoch[epoch]
+    for i, (sel, uni) in enumerate(zip(audit.selected, audit.uniform_selected)):
+        worst = audit.worst_by_epoch[i * len(audit.worst_by_epoch) // audit.n_all]
         tallies[worst] = tallies.get(worst, 0) + 1
         if sel == worst:
             n_ada += 1

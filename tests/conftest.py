@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def batch_innermost_view(a):
     """Same values as ``a``, laid out as the (C, H, W, B) buffer behind a
     (B, C, H, W) view: the layout conv outputs hand to the next layer."""
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def write_idx_pair(tmp_path, images, labels):
+    """Write (N, rows, cols) uint8 images and their labels as an IDX pair in
+    directory ``tmp_path``; returns the two paths."""
+    n, rows, cols = images.shape
+    img_path = tmp_path / "images.idx"
+    lab_path = tmp_path / "labels.idx"
+    with open(img_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x803, n, rows, cols))
+        fh.write(images.astype(np.uint8).tobytes())
+    with open(lab_path, "wb") as fh:
+        fh.write(struct.pack(">II", 0x801, len(labels)))
+        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+    return str(img_path), str(lab_path)
 
 
 def tiny_mlp(seed, side=4, hidden=4, classes=2, dtype=np.float64):

@@ -15,6 +15,7 @@ from adalase.config import (list_presets, load_config, make_network, make_splits
 from adalase.data import gen_synthetic, save_raw
 from adalase.engine.checkpoint import save_weights
 from adalase.errors import ConfigError
+from conftest import write_idx_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -225,6 +226,28 @@ def test_train_writes_all_artifacts(tmp_path):
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header.startswith("epoch,lr,train_loss")
     assert "q_0" in header and "q_1" in header
+
+
+def test_idx_files_with_different_class_counts_share_one_label_space(tmp_path):
+    # the test file lacks the training file's top class
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split, n, classes in (("train", 40, 3), ("test", 20, 2)):
+        (tmp_path / split).mkdir()
+        paths[split] = write_idx_pair(tmp_path / split, rng.integers(0, 256, size=(n, 4, 4)),
+                                      np.arange(n) % classes)
+    cfg = write_config(tmp_path, {"dataset.kind": "idx",
+                                  "dataset.images_path": paths["train"][0],
+                                  "dataset.labels_path": paths["train"][1],
+                                  "dataset.test_images_path": paths["test"][0],
+                                  "dataset.test_labels_path": paths["test"][1],
+                                  "train.probe": True})
+    splits = make_splits(load_config(cfg))
+    assert splits.train.num_classes == splits.test.num_classes == 3
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("metrics.csv", "ratios.csv", "checkpoint.adlw", "manifest.json"):
+        assert (out / name).exists(), name
 
 
 def test_manifest_names_the_split_that_feeds_validation(tmp_path, caplog):

@@ -13,19 +13,7 @@ from adalase.data import (Dataset, batch_iter, gen_synthetic, load_cifar_bin,
 from adalase.engine.builders import build_mlp
 from adalase.engine.checkpoint import load_weights, save_weights
 from adalase.errors import ConfigError, DataFormatError, PolicyError
-
-
-def write_idx_pair(tmp_path, images, labels):
-    n, rows, cols = images.shape
-    img_path = tmp_path / "images.idx"
-    lab_path = tmp_path / "labels.idx"
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x803, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(lab_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, len(labels)))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
-    return str(img_path), str(lab_path)
+from conftest import write_idx_pair
 
 
 # ---- IDX ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +227,33 @@ def test_window_cadence_stays_on_bounded_simplex():
     assert window.ratio_history != epoch.ratio_history
 
 
+@pytest.mark.parametrize("batch_size", [16, 24])  # 80 samples: 5 full batches, or 4 with a short one
+def test_epoch_cadence_is_a_window_of_one_epoch(batch_size):
+    splits = small_splits()
+    runs = []
+    for cadence, window in (("epoch", 1), ("window", math.ceil(80 / batch_size))):
+        cfg = quick_config(epochs=3, batch_size=batch_size, update_cadence=cadence,
+                           adalase=AdaLaseConfig(eta=0.5, avg_window=window))
+        r = train(tiny_mlp(20), splits, cfg)
+        runs.append((r.ratio_history, r.audit.selected, [rec.train_loss for rec in r.report]))
+    assert runs[0] == runs[1]
+    assert runs[0][0][-1] != runs[0][0][0]
+
+
+def test_true_validation_never_reads_the_test_split():
+    full = gen_synthetic("striped_patches", 150, 0, side=4, noise=0.05)
+    tr, va, te = split_dataset(full, 80, 30, 40, 0)
+    noise = replace(te, images=np.random.default_rng(1).random(te.images.shape))
+    cfg = quick_config(epochs=3, val_mode="true", probe=True)
+    runs = []
+    for test in (te, noise):
+        r = train(tiny_mlp(21), Splits(train=tr, test=test, val=va), cfg)
+        runs.append((r.ratio_history, r.audit.selected, r.audit.worst_by_epoch,
+                     [replace(rec, test_acc=None) for rec in r.report]))
+    assert runs[0] == runs[1]
+    assert runs[0][0][-1] != runs[0][0][0]
+
+
 def test_empty_training_set_rejected():
     splits = small_splits()
     empty = Splits(train=split_dataset(splits.train, 0, 0, 0, 0)[0],
@@ -254,6 +282,16 @@ def test_one_sample_mixing_batch_rejected_before_training(kind, counts, override
     assert np.array_equal(net.theta, theta)
 
 
+def test_splits_with_different_class_counts_rejected_before_training():
+    splits = small_splits()
+    three = Splits(train=replace(splits.train, num_classes=3), test=splits.test)
+    net = tiny_mlp(22, classes=3)
+    theta = net.param_vector()
+    with pytest.raises(ConfigError, match="class count"):
+        train(net, three, quick_config(probe=True))
+    assert np.array_equal(net.theta, theta)
+
+
 # ---- probing -------------------------------------------------------------------
 
 def test_probe_with_identity_aug_is_position_independent(rng):
@@ -278,7 +316,7 @@ def test_probe_never_touches_parameters(rng):
 
 def _audit(selected, uniform, worst):
     a = SelectionAudit(selected=list(selected), uniform_selected=list(uniform),
-                       epoch_of_iter=[0] * len(selected), worst_by_epoch=list(worst))
+                       worst_by_epoch=list(worst))
     return a
 
 
@@ -300,7 +338,6 @@ def test_audit_alternating_worst_gives_zero_y():
     selected = [0] * 100
     uniform = [1] * 100
     a = SelectionAudit(selected=selected, uniform_selected=uniform,
-                       epoch_of_iter=[i % 2 for i in range(100)],
                        worst_by_epoch=[0, 1])
     _, y = audit_worst_layer(a)
     assert y == 0.0
