@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine.losses import check_soft_labels
 from .errors import ConfigError, DegenerateBatchError, PolicyError, ShapeError
 
 MIXING_KINDS = ("mixup", "cutmix")
@@ -69,7 +68,7 @@ def _pairing(batch, labels, alpha, rng, lam):
     """Checks and draws shared by the mixing kernels: lam ~ Beta(alpha, alpha)
     unless pinned, then one partner permutation."""
     batch = np.asarray(batch)
-    labels = check_soft_labels(labels)
+    labels = np.asarray(labels)
     if batch.shape[0] < 2:
         raise DegenerateBatchError(f"mixing augmentation needs batch >= 2, got {len(batch)}")
     if lam is None:
@@ -209,7 +208,6 @@ def apply_at_position(spec, features, labels, rng, position=0):
     with the map automatically.
     """
     features = np.asarray(features)
-    labels = check_soft_labels(labels)
     kind = spec.kind
     if kind in INPUT_ONLY_KINDS and position != 0:
         raise PolicyError(f"{kind} is restricted to the input position, requested P{position}")

@@ -26,7 +26,6 @@ DEFAULTS = {
     "dataset": {
         "kind": "synthetic",
         "synthetic_kind": "striped_patches",
-        "n": 1200,
         "side": 8,
         "noise": 0.1,
         "seed": 0,
@@ -119,12 +118,9 @@ def validate_config(raw):
     if synthetic:
         _check(ds["synthetic_kind"] in ("two_gaussians", "striped_patches"),
                f"unknown synthetic kind {ds['synthetic_kind']!r}", "dataset.synthetic_kind")
-        _check(ds["n"] >= 2, "n must be >= 2", "dataset.n")
         min_side = 2 if ds["synthetic_kind"] == "striped_patches" else 1
         _check(ds["side"] >= min_side, f"side must be >= {min_side} for "
                f"{ds['synthetic_kind']}", "dataset.side")
-        _check(ds["train_count"] + ds["val_count"] + ds["test_count"] <= ds["n"],
-               "train+val+test counts exceed n", "dataset")
         for key, split in (("train_count", "training"), ("test_count", "test")):
             _check(ds[key] > 0, f"{split} dataset is empty", f"dataset.{key}")
         _check(ds["subsample_count"] <= ds["train_count"],
@@ -193,7 +189,8 @@ def make_train_config(cfg):
 def make_splits(cfg):
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        full = gen_synthetic(ds["synthetic_kind"], ds["n"], ds["seed"], side=ds["side"],
+        total = ds["train_count"] + ds["val_count"] + ds["test_count"]
+        full = gen_synthetic(ds["synthetic_kind"], total, ds["seed"], side=ds["side"],
                              noise=ds["noise"])
         train, val, test = split_dataset(full, ds["train_count"], ds["val_count"],
                                          ds["test_count"], ds["seed"])

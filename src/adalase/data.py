@@ -224,7 +224,7 @@ def batch_iter(ds, batch_size, seed, epoch):
 
 
 def pseudo_val_batch(ds, batch_size, aug, rng):
-    """Fresh training-set draw with an input-space augmentation applied at P0."""
+    """Fresh draw from ``ds`` with an input-space augmentation applied at P0."""
     if aug.kind in MIXING_KINDS:
         raise PolicyError(f"pseudo-validation augmentation must be input-space, "
                           f"got {aug.kind!r}")

@@ -32,8 +32,6 @@ def cross_entropy(logits, soft_labels):
     Returns (loss, dloss/dlogits).
     """
     logits = np.asarray(logits)
-    if logits.ndim == 4:
-        logits = logits.reshape(logits.shape[0], -1)
     soft_labels = check_soft_labels(soft_labels)
     if logits.shape != soft_labels.shape:
         raise ShapeError(f"logits {logits.shape} vs labels {soft_labels.shape}")

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..errors import ShapeError, StateError, TapRangeError
-from .losses import check_soft_labels, cross_entropy
+from .losses import cross_entropy
 
 
 class Network:
@@ -85,18 +85,21 @@ class Network:
         Returns (logits, loss, mixed_labels). With aug=None (or kind "none")
         or tap=None the result is bitwise identical to a tapless pass. Input
         and labels are cast to ``theta``'s dtype, so the network computes in
-        the dtype of its parameters. With ``keep=False`` (a loss-only pass)
+        the dtype of its parameters. The labels are checked once, by the loss,
+        after the layers have run. With ``keep=False`` (a loss-only pass)
         layers keep nothing for backward, and a later ``backward`` raises
-        StateError.
+        StateError; so does one after a forward that raised.
         """
-        from ..augment import apply_at_position  # deferred: augment needs engine.losses
+        # looked up at call time: perfbench's tracer swaps ``augment.apply_at_position``
+        from ..augment import apply_at_position
 
+        self._forward_ready = False
         x = np.asarray(x, dtype=self.theta.dtype)
-        labels = check_soft_labels(np.asarray(labels, dtype=self.theta.dtype))
+        labels = np.asarray(labels, dtype=self.theta.dtype)
         if x.ndim != 4:
             raise ShapeError(f"input must be rank-4 (B,C,H,W), got shape {x.shape}")
-        if x.shape[0] != labels.shape[0]:
-            raise ShapeError(f"batch mismatch: input {x.shape[0]} vs labels {labels.shape[0]}")
+        if labels.shape[:1] != x.shape[:1]:  # a 0-d label array has no batch axis
+            raise ShapeError(f"batch mismatch: input {x.shape} vs labels {labels.shape}")
         apply_aug = tap is not None and aug is not None and aug.kind != "none"
         if tap is not None and not (0 <= tap < self.num_taps):
             raise TapRangeError(f"tap {tap} out of range for {self.num_taps} positions")

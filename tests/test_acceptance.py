@@ -387,7 +387,7 @@ def test_acceptance_float32_matches_float64(capsys):
     final q on every seed."""
     start = time.perf_counter()
     small_cnn = cfgmod.load_config("cnn-adalase")
-    small_cnn["dataset"].update(n=600, train_count=500, test_count=100)
+    small_cnn["dataset"].update(train_count=500, test_count=100)
     small_cnn["train"]["epochs"] = 3
     details, ok = [], True
     for name, cfg in (("mlp-fig3", cfgmod.load_config("mlp-fig3")), ("cnn-adalase", small_cnn)):

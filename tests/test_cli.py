@@ -21,7 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MINIMAL = {
     "dataset": {"kind": "synthetic", "synthetic_kind": "striped_patches",
-                "n": 60, "side": 4, "train_count": 40, "test_count": 20,
+                "side": 4, "train_count": 40, "test_count": 20,
                 "noise": 0.1},
     "model": {"kind": "mlp", "hidden": 4},
     "train": {"epochs": 1, "batch_size": 16},
@@ -84,10 +84,10 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"train.seed": -1}, "train.seed"),
     ({"train.eval_batch_size": 0}, "train.eval_batch_size"),
     # mixup on a last training batch of one sample (129 = 2 * 64 + 1)
-    ({"dataset.n": 149, "dataset.train_count": 129, "train.batch_size": 64},
+    ({"dataset.train_count": 129, "train.batch_size": 64},
      "train.batch_size"),
     # mixup probe on a last test batch of one sample (257 = 256 + 1)
-    ({"dataset.n": 297, "dataset.test_count": 257, "train.probe": True,
+    ({"dataset.test_count": 257, "train.probe": True,
       "train.eval_batch_size": 256}, "train.eval_batch_size"),
     ({"dataset.train_count": 0}, "dataset.train_count"),
     ({"dataset.test_count": 0}, "dataset.test_count"),
@@ -112,7 +112,7 @@ def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field)
     {"dataset.noise": 0.0},
     {"dataset.subsample_seed": -1},  # read only when subsample_count is set
     # a one-sample batch is fine for a kind that does not mix
-    {"dataset.n": 61, "dataset.train_count": 41, "train.batch_size": 40,
+    {"dataset.train_count": 41, "train.batch_size": 40,
      "train.train_aug.kind": "cutout"},
     {"train.update_cadence": "window", "train.adalase.avg_window": 4},
 ])
@@ -129,9 +129,9 @@ def test_wrong_value_type_is_a_field_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides,field", [
-    ({"dataset.n": "abc"}, "dataset.n"),
+    ({"dataset.side": "abc"}, "dataset.side"),
     ({"train.epochs": 2.5}, "train.epochs"),
-    ({"dataset.n": 1200.7}, "dataset.n"),
+    ({"dataset.side": 8.5}, "dataset.side"),
     ({"model.hidden": "36"}, "model.hidden"),
 ])
 def test_value_must_have_its_defaults_json_type(tmp_path, capsys, overrides, field):
@@ -156,6 +156,9 @@ def test_unknown_key_named_in_error(tmp_path, capsys):
 def test_unknown_keys_rejected_with_dotted_path():
     with pytest.raises(ConfigError, match="train.adalase.decay"):
         validate_config({"train": {"adalase": {"decay": 0.5}}})
+    # the synthetic size is the sum of the split counts; ``n`` is no longer a key
+    with pytest.raises(ConfigError, match=r"unknown key 'dataset\.n'"):
+        validate_config({"dataset": {"n": 1200}})
 
 
 def test_missing_dataset_path_rejected(tmp_path, capsys):
@@ -258,7 +261,7 @@ def test_manifest_names_the_split_that_feeds_validation(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "no validation split: val_mode 'true' batches and probes use the test split"]
     caplog.clear()
-    cfg = write_config(tmp_path, {"dataset.n": 80, "dataset.val_count": 20,
+    cfg = write_config(tmp_path, {"dataset.val_count": 20,
                                   "train.val_mode": "true", "train.probe": True})
     with caplog.at_level(logging.WARNING, logger="adalase.trainer"):
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "val")]) == 0
@@ -279,7 +282,6 @@ def test_uniform_schedule_selection_histogram_is_flat(tmp_path):
     cfg = write_config(tmp_path, {"train.schedule.shape": "uniform",
                                   "train.epochs": 2,
                                   "train.batch_size": 2,
-                                  "dataset.n": 800,
                                   "dataset.train_count": 700,
                                   "dataset.test_count": 100})
     out = tmp_path / "uni"

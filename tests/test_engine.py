@@ -14,7 +14,7 @@ from adalase.engine.layers import (Conv2d, Dense, GlobalAvgPool, MaxPool2x2, ReL
                                    ResidualBlock)
 from adalase.engine.losses import check_soft_labels, cross_entropy, grad_dot, one_hot
 from adalase.engine.network import Network, finite_diff_grad
-from adalase.errors import (DataFormatError, ShapeError, StateError,
+from adalase.errors import (DataFormatError, PolicyError, ShapeError, StateError,
                             TapRangeError, ValidationError)
 from conftest import batch_innermost_view, perturb_params, tiny_cnn, tiny_mlp
 
@@ -335,6 +335,24 @@ def test_backward_after_predict_raises(build, side, rng):
         net.backward()
 
 
+@pytest.mark.parametrize("tap,kind,scale,error", [
+    (1, "rotation", 1.0, PolicyError),  # input-only kind at a hidden tap
+    (None, "none", 1.5, ValidationError),  # bad labels, caught by the loss
+    (1, "mixup", 1.5, ValidationError),  # bad labels mixed at a hidden tap
+])
+def test_backward_after_a_failed_forward_raises(tap, kind, scale, error, rng):
+    # the failed pass may have run layers on the new batch, so a backward
+    # would mix two batches' caches
+    net = tiny_cnn(0)
+    x1, x2 = rng.normal(size=(2, 4, 1, 6, 6))
+    y = one_hot([0, 1, 0, 1], 2)
+    net.forward_with_tap(x1, y)
+    with pytest.raises(error):
+        net.forward_with_tap(x2, scale * y, tap=tap, aug=AugSpec(kind=kind), rng=rng)
+    with pytest.raises(StateError):
+        net.backward()
+
+
 def test_identity_augmentation_is_bitwise_noop(rng):
     net = tiny_mlp(5)
     x = rng.normal(size=(3, 1, 4, 4))
@@ -389,6 +407,8 @@ def test_input_rank_and_batch_checks():
         net.forward_with_tap(np.zeros((1, 16)), one_hot([0], 2))
     with pytest.raises(ShapeError):
         net.forward_with_tap(np.zeros((2, 1, 4, 4)), one_hot([0], 2))
+    with pytest.raises(ShapeError):
+        net.forward_with_tap(np.zeros((1, 1, 4, 4)), 1.0)  # no batch axis
 
 
 @pytest.mark.parametrize("build,side", [(tiny_cnn, 6), (tiny_mlp, 4)])

@@ -2,18 +2,21 @@
 
 import hashlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adalase.augment import AugSpec
-from adalase.data import Dataset, gen_synthetic, split_dataset
+from adalase.data import Dataset, gen_synthetic, pseudo_val_batch, split_dataset
 from adalase.engine.layers import Conv2d, Dense, MaxPool2x2, ReLU, ResidualBlock
+from adalase.engine import losses
 from adalase.engine.losses import one_hot
 from adalase.errors import AuditError, ConfigError, NonFiniteError, StateError
 from adalase import trainer
-from adalase.ratios import AdaLaseConfig, RatioSchedule, init_ratios, sample_position
+from adalase.ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule, init_ratios,
+                            sample_position)
 from adalase.trainer import (OptimizerState, SelectionAudit, Splits,
                              TrainConfig, adalase_iteration, audit_worst_layer,
                              cosine_lr, dataset_loss, evaluate,
@@ -128,6 +131,32 @@ def test_iteration_without_pseudo_batch_skips_dot(rng):
                                             np.random.default_rng(1))
     assert dot is None and ploss is None and np.isfinite(loss)
     assert not np.array_equal(net.param_vector(), theta)
+
+
+def test_soft_labels_are_checked_once_per_loss(monkeypatch):
+    # an iteration with a pseudo-val draw and mixup at a hidden tap: only
+    # cross_entropy checks labels, once for each of its two losses
+    calls = []
+    original = losses.check_soft_labels
+    def counted(labels):
+        calls.append(1)
+        return original(labels)
+    for mod in [m for name, m in sys.modules.items() if name.startswith("adalase")]:
+        if getattr(mod, "check_soft_labels", None) is original:
+            monkeypatch.setattr(mod, "check_soft_labels", counted)
+    splits = small_splits()
+    net = tiny_cnn(3, side=4)
+    q = np.zeros(net.num_taps)
+    q[1] = 1.0
+    cfg = quick_config(train_aug=AugSpec(kind="mixup", alpha=1.0))
+    opt = OptimizerState(velocity=np.zeros(net.num_params()), momentum=0.9,
+                         base_lr=0.01, current_lr=0.01, total_steps=10)
+    rng = np.random.default_rng(0)
+    pseudo = pseudo_val_batch(splits.test, 8, cfg.pseudo_val_aug, rng)
+    train_batch = splits.train.images[:8], one_hot(splits.train.labels[:8], 2)
+    _, _, l, _ = adalase_iteration(net, train_batch, pseudo, AcceptanceRatios(q=q, d=0.0),
+                                   opt, cfg, rng, rng)
+    assert l == 1 and len(calls) == 2
 
 
 # ReLU propagates NaN, so a NaN input row, like a NaN output bias, reaches the
