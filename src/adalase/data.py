@@ -136,35 +136,46 @@ def gen_synthetic(kind, n, seed, side=8, noise=0.1, separation=4.0):
     two_gaussians: two class blobs rendered as images, linearly separable.
     striped_patches: horizontal vs vertical stripes, sensitive to spatial
     augmentation by construction.
+
+    Sample i draws a stripe phase and then its side*side pixels. The pixels
+    of a pair are drawn in one call after both phases; that is the same
+    stream, so the bytes do not depend on the order. PCG64, the generator of
+    ``default_rng``, serves ``integers(0, 2)`` from the low half of a 64-bit
+    draw and keeps the high half for the next 32-bit request, which normal
+    draws never touch: a pair's second phase is that kept half either way.
+    A bit generator without this buffering would change the data.
     """
     if n < 2:
         raise ConfigError(f"synthetic dataset needs n >= 2, got {n}")
+    if noise < 0:
+        raise ConfigError(f"synthetic noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 2
-    images = np.zeros((n, 1, side, side))
     if kind == "two_gaussians":
-        mean0 = np.full((side, side), 0.3)
-        mean1 = np.full((side, side), 0.3)
-        mean0[: side // 2] += separation * noise
-        mean1[side // 2 :] += separation * noise
-        for i in range(n):
-            base = mean1 if labels[i] else mean0
-            images[i, 0] = base + rng.normal(0, noise, size=(side, side))
+        means = np.full((2, side, side), 0.3)
+        means[0, : side // 2] += separation * noise
+        means[1, side // 2 :] += separation * noise
+        images = (means[labels] + rng.normal(0, noise, (n, side, side)))[:, None]
     elif kind == "striped_patches":
         # class = stripe orientation inside one centered patch; the localized
         # signal makes spatial masking/shifting genuinely destructive
         p = max(side // 2, 2)
         lo = (side - p) // 2
-        for i in range(n):
-            phase = int(rng.integers(0, 2))
-            patch = np.zeros((p, p))
-            if labels[i]:
-                patch[:, phase::2] = 1.0  # vertical stripes
-            else:
-                patch[phase::2, :] = 1.0  # horizontal stripes
-            img = rng.normal(0.3, noise, size=(side, side))
-            img[lo : lo + p, lo : lo + p] += patch - 0.3
-            images[i, 0] = img
+        stripes = np.zeros((2, 2, p, p))  # (label, phase)
+        for phase in (0, 1):
+            stripes[0, phase, phase::2, :] = 1.0  # horizontal stripes
+            stripes[1, phase, :, phase::2] = 1.0  # vertical stripes
+        images = np.empty((n, 1, side, side))
+        phases = []
+        for i in range(0, n, 2):
+            phases.append(rng.integers(0, 2))
+            if i + 1 < n:
+                phases.append(rng.integers(0, 2))
+            rng.standard_normal(out=images[i : i + 2])
+        # the two roundings of rng.normal(0.3, noise): 0.3 + noise * z
+        images *= noise
+        images += 0.3
+        images[:, 0, lo : lo + p, lo : lo + p] += (stripes - 0.3)[labels, phases]
     else:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
     images = np.clip(images, 0.0, 1.0)

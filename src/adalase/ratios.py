@@ -66,9 +66,15 @@ def init_ratios(num_positions, d_scale=0.1):
 
 
 def sample_position(ratios, rng):
-    """Categorical draw over positions with probabilities q."""
+    """Categorical draw over positions with probabilities q.
+
+    The inverse-CDF steps that ``rng.choice(K, p=q / q.sum())`` runs, without
+    its argument checks: the same draw and the same rng stream.
+    """
     q = ratios.q
-    return int(rng.choice(q.shape[0], p=q / q.sum()))
+    cdf = np.cumsum(q / q.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _project_bounded(q, d):

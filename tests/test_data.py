@@ -2,6 +2,7 @@
 
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +217,80 @@ def test_synthetic_pixel_range_and_kinds():
         gen_synthetic("plaid", 10, seed=0)
     with pytest.raises(ConfigError):
         gen_synthetic("striped_patches", 1, seed=0)
+    for kind in ("two_gaussians", "striped_patches"):
+        with pytest.raises(ConfigError):
+            gen_synthetic(kind, 10, seed=0, noise=-0.1)
+
+
+def _gen_synthetic_loop(kind, n, seed, side=8, noise=0.1, separation=4.0):
+    """The per-sample generator that gen_synthetic replaced: the byte oracle."""
+    if n < 2:
+        raise ConfigError(f"synthetic dataset needs n >= 2, got {n}")
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    images = np.zeros((n, 1, side, side))
+    if kind == "two_gaussians":
+        mean0 = np.full((side, side), 0.3)
+        mean1 = np.full((side, side), 0.3)
+        mean0[: side // 2] += separation * noise
+        mean1[side // 2 :] += separation * noise
+        for i in range(n):
+            base = mean1 if labels[i] else mean0
+            images[i, 0] = base + rng.normal(0, noise, size=(side, side))
+    elif kind == "striped_patches":
+        # class = stripe orientation inside one centered patch; the localized
+        # signal makes spatial masking/shifting genuinely destructive
+        p = max(side // 2, 2)
+        lo = (side - p) // 2
+        for i in range(n):
+            phase = int(rng.integers(0, 2))
+            patch = np.zeros((p, p))
+            if labels[i]:
+                patch[:, phase::2] = 1.0  # vertical stripes
+            else:
+                patch[phase::2, :] = 1.0  # horizontal stripes
+            img = rng.normal(0.3, noise, size=(side, side))
+            img[lo : lo + p, lo : lo + p] += patch - 0.3
+            images[i, 0] = img
+    else:
+        raise ConfigError(f"unknown synthetic kind {kind!r}")
+    images = np.clip(images, 0.0, 1.0)
+    perm = rng.permutation(n)
+    return Dataset(images[perm], labels[perm].astype(np.int64), 2)
+
+
+def test_default_rng_is_pcg64():
+    assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64), (
+        "gen_synthetic draws a pair's pixels after both phases, which keeps the "
+        "stream only under PCG64's 32-bit buffering: see its docstring")
+
+
+@pytest.mark.parametrize("kind", ["two_gaussians", "striped_patches"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_synthetic_matches_per_sample_loop_bytes(kind, seed):
+    for n in (2, 3, 17, 900, 2401):
+        for side in (3, 5, 8, 16):
+            for noise in (0.1, 0.45, 1.0):
+                got = gen_synthetic(kind, n, seed, side=side, noise=noise)
+                want = _gen_synthetic_loop(kind, n, seed, side=side, noise=noise)
+                assert got.images.dtype == want.images.dtype
+                assert got.images.shape == want.images.shape
+                assert got.images.tobytes() == want.images.tobytes(), (n, side, noise)
+                assert got.labels.tobytes() == want.labels.tobytes(), (n, side, noise)
+
+
+def test_synthetic_pair_draw_is_faster_than_per_sample_loop():
+    # both timed in one process, interleaved, so the host's speed phases cancel
+    new, old = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        _gen_synthetic_loop("striped_patches", 2400, 0, side=8)
+        t1 = time.perf_counter()
+        gen_synthetic("striped_patches", 2400, 0, side=8)
+        t2 = time.perf_counter()
+        old.append(t1 - t0)
+        new.append(t2 - t1)
+    assert min(new) <= 0.6 * min(old), (min(new), min(old))
 
 
 # ---- subsampling / splits ----------------------------------------------------------------

@@ -65,6 +65,22 @@ def test_sampling_frequencies_match_ratios():
     assert abs((draws == 1).mean() - 0.7) < 0.01
 
 
+def test_sample_position_matches_rng_choice():
+    # the inverse CDF is what rng.choice(K, p=...) runs: same draws, same stream
+    qrng = np.random.default_rng(5)
+    for k in range(2, 7):
+        qs = [qrng.dirichlet(np.ones(k)) for _ in range(4)]
+        with_zero = qrng.dirichlet(np.ones(k))
+        with_zero[k // 2] = 0.0
+        for q in qs + [with_zero / with_zero.sum()]:
+            r = AcceptanceRatios(q=q, d=0.0)
+            ours, ref = np.random.default_rng(k), np.random.default_rng(k)
+            got = [sample_position(r, ours) for _ in range(2000)]
+            want = [int(ref.choice(k, p=q / q.sum())) for _ in range(2000)]
+            assert got == want
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_sampling_is_seed_deterministic():
     r = init_ratios(4)
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
