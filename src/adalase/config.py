@@ -4,10 +4,12 @@ Configs are a nested key tree. Unknown keys are rejected with their dotted
 path; values are type-checked and range-checked before anything runs. The
 ``train`` subtree is derived from the ``TrainConfig`` dataclass: its defaults
 are the dataclass defaults and its checks are the dataclass validators.
+An optional top-level ``sweep`` makes the config a grid (see ``grid_points``).
 """
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -104,6 +106,11 @@ def validate_config(raw):
     """Merge over defaults and range-check; returns the effective config dict."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    if "sweep" in raw:
+        cfg = validate_config({k: v for k, v in raw.items() if k != "sweep"})
+        cfg["sweep"] = raw["sweep"]
+        grid_points(cfg)
+        return cfg
     cfg = _merge_strict(DEFAULTS, raw)
     ds = cfg["dataset"]
     _check(ds["kind"] in ("synthetic", "idx", "cifar", "raw"),
@@ -160,6 +167,34 @@ def validate_config(raw):
         _check(os.path.exists(mdl["init_checkpoint"]),
                f"path does not exist: {mdl['init_checkpoint']}", "model.init_checkpoint")
     return cfg
+
+
+def grid_points(cfg):
+    """``(values, effective config)`` per point of the ``sweep`` grid, the last key
+    fastest: ``cfg`` without ``sweep``, with the values set, through
+    ``validate_config``. Without a sweep, the one point ``({}, cfg)``."""
+    if "sweep" not in cfg:
+        return [({}, cfg)]
+    sweep = cfg["sweep"]
+    _check(isinstance(sweep, dict) and sweep
+           and all(isinstance(v, list) and v for v in sweep.values()),
+           "expected an object mapping dotted keys to non-empty value lists", "sweep")
+    _check("out_dir" not in sweep, "out_dir is set per point", "sweep")
+    base = {k: v for k, v in cfg.items() if k != "sweep"}
+    points = []
+    for combo in itertools.product(*sweep.values()):
+        point = copy.deepcopy(base)
+        for dotted, value in zip(sweep, combo):
+            *parents, leaf = dotted.split(".")
+            node = point
+            for key in parents:
+                node = node.get(key) if isinstance(node, dict) else None
+            # only a value key can be swept, not an object of keys
+            _check(isinstance(node, dict) and not isinstance(node.get(leaf, {}), dict),
+                   f"unknown key {dotted!r}", "sweep")
+            node[leaf] = value
+        points.append((dict(zip(sweep, combo)), validate_config(point)))
+    return points
 
 
 def list_presets():

@@ -66,6 +66,18 @@ def write_audit_csv(rows, path):
         header, [[seed, f"{x:.8g}", f"{y:.8g}", n] for seed, x, y, n in rows]))
 
 
+def write_grid_csv(runs, path):
+    """One row per grid point, from ``(values, result, audit (x, y) or None)``
+    with ``values`` the point's swept values by dotted key."""
+    header = ["point", *runs[0][0], "final_q", "best_test_acc", "final_test_acc",
+              "x_metric", "y_metric", "n_all"]
+    rows = [[i, *values.values(), " ".join(f"{q:.12g}" for q in res.final_ratios.q),
+             f"{max(r.test_acc for r in res.report):.6f}", f"{res.report[-1].test_acc:.6f}",
+             *(("", "") if xy is None else (f"{v:.8g}" for v in xy)), res.audit.n_all]
+            for i, (values, res, xy) in enumerate(runs)]
+    atomic_write_text(path, _csv_text(header, rows))
+
+
 def content_hash(payloads):
     """sha256 over a sequence of byte strings; stable run-input fingerprint."""
     h = hashlib.sha256()

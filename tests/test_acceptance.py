@@ -192,7 +192,7 @@ def test_acceptance_lower_limit_does_not_change_ranking(capsys):
     """Final position ranking is stable across the lower-limit sweep."""
     start = time.perf_counter()
     base = cfgmod.load_config("sweep-kd")
-    kds = (0.1, 0.2, 0.3, 0.4, 0.5)
+    kds = base["sweep"]["train.adalase.d_scale"]
     same = total = 0
     for seed in range(10):
         rankings = []

@@ -96,6 +96,14 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"train.adalase.avg_window": 4}, "train.adalase.avg_window"),
     ({"train.val_mode": "true", "train.pseudo_val_aug.degree_range": 30.0},
      "train.pseudo_val_aug"),
+    # every point of a sweep is checked before any point runs
+    ({"sweep": {"train.adalase.d_scale": [0.1, 1.5]}}, "train.adalase.d_scale"),
+    ({"sweep": {"train.seed": []}}, "sweep"),
+    ({"sweep": {"train.seed": 0}}, "sweep"),
+    ({"sweep": {}}, "sweep"),
+    ({"sweep": None}, "sweep"),
+    ({"sweep": {"train.adalase": [{"eta": 2.0}]}}, "sweep"),
+    ({"sweep": {"out_dir": ["a", "b"]}}, "sweep"),  # each point's out_dir is derived
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -304,44 +312,88 @@ def test_empty_test_split_rejected(tmp_path, capsys):
     assert not out.exists()  # no partial outputs
 
 
-# ---- audit command ----------------------------------------------------------------
+# ---- sweep grids ----------------------------------------------------------------
+
+GRID_HEADER = "final_q,best_test_acc,final_test_acc,x_metric,y_metric,n_all"
+
 
 def test_audit_rows_are_ranged_and_reproducible(tmp_path):
-    cfg = write_config(tmp_path, {"train.epochs": 2})
+    cfg = write_config(tmp_path, {"train.epochs": 2, "train.probe": True,
+                                  "sweep": {"train.seed": [0, 1]}})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["audit", "--config", cfg, "--runs", "2", "--out", str(out_a)]) == 0
-    assert main(["audit", "--config", cfg, "--runs", "2", "--out", str(out_b)]) == 0
-    rows = (out_a / "audit.csv").read_text().splitlines()
-    assert rows[0] == "seed,x_metric,y_metric,n_all"
+    assert main(["train", "--config", cfg, "--out", str(out_a)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(out_b)]) == 0
+    rows = (out_a / "grid.csv").read_text().splitlines()
+    assert rows[0] == f"point,train.seed,{GRID_HEADER}"
     assert len(rows) == 3
     for row in rows[1:]:
-        _, x, y, n_all = row.split(",")
+        x, y, n_all = row.split(",")[-3:]
         assert -1.0 <= float(x) <= 1.0
         assert 0.0 <= float(y) <= 1.0
         assert int(n_all) > 0
-    assert (out_a / "audit.csv").read_bytes() == (out_b / "audit.csv").read_bytes()
+    assert (out_a / "grid.csv").read_bytes() == (out_b / "grid.csv").read_bytes()
 
 
-@pytest.mark.parametrize("runs", ["0", "-1"])
-def test_audit_rejects_fewer_than_one_run(tmp_path, capsys, runs):
-    out = tmp_path / "audit"
-    cfg = write_config(tmp_path)
-    assert main(["audit", "--config", cfg, "--runs", runs, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: --runs: must be >= 1, got {runs}")
+def test_grid_point_matches_a_plain_run_of_its_config(tmp_path):
+    grid = write_config(tmp_path, {"sweep": {"train.seed": [1, 2],
+                                             "train.adalase.d_scale": [0.2, 0.3]}})
+    plain = write_config(tmp_path, {"train.seed": 2, "train.adalase.d_scale": 0.2},
+                         name="plain.json")
+    assert main(["train", "--config", grid, "--out", str(tmp_path / "grid")]) == 0
+    assert main(["train", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+    rows = (tmp_path / "grid" / "grid.csv").read_text().splitlines()
+    assert rows[0] == f"point,train.seed,train.adalase.d_scale,{GRID_HEADER}"
+    # product order, the last key fastest
+    assert [r.split(",")[:3] for r in rows[1:]] == [
+        ["0", "1", "0.2"], ["1", "1", "0.3"], ["2", "2", "0.2"], ["3", "2", "0.3"]]
+    for name in ("metrics.csv", "ratios.csv", "checkpoint.adlw"):
+        assert ((tmp_path / "grid" / "point2" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes()), name
+    assert not (tmp_path / "plain" / "point0").exists()
+
+
+def test_sweep_unknown_key_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sweep": {"train.nope": [1]}})
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep: unknown key 'train.nope'")
+
+
+def test_seed_flag_rejected_when_the_seed_is_swept(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sweep": {"train.seed": [0, 1]}})
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed: ")
     assert not out.exists()
+
+
+def test_model_grid_records_each_models_tap_count(tmp_path):
+    cfg = write_config(tmp_path, {"sweep": {"model.kind": ["mlp", "tiny_cnn"]}})
+    out = tmp_path / "models"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "grid.csv").read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["mlp", "tiny_cnn"]
+    assert [len(r[2].split(" ")) for r in rows] == [2, 4]
 
 
 # ---- lower-limit sweep ----------------------------------------------------------------
 
+def _kd_grid(tmp_path, epochs):
+    kds = load_config("sweep-kd")["sweep"]["train.adalase.d_scale"]
+    return kds, write_config(tmp_path, {"train.epochs": epochs,
+                                        "sweep": {"train.adalase.d_scale": kds}})
+
+
 def test_sweep_writes_one_trajectory_per_value(tmp_path):
-    cfg = write_config(tmp_path, {"train.epochs": 1})
+    kds, cfg = _kd_grid(tmp_path, 1)
     out = tmp_path / "sweep"
-    assert main(["sweep-kd", "--config", cfg, "--out", str(out)]) == 0
-    for kd in ("0.1", "0.2", "0.3", "0.4", "0.5"):
-        assert (out / f"ratios_kd{kd}.csv").exists()
-    table = (out / "final_ratios.csv").read_text().splitlines()
-    assert table[0] == "kd,q_0,q_1"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    for i in range(len(kds)):
+        assert (out / f"point{i}" / "ratios.csv").exists()
+    table = (out / "grid.csv").read_text().splitlines()
+    assert table[0] == f"point,train.adalase.d_scale,{GRID_HEADER}"
     assert len(table) == 6
+    assert [float(r.split(",")[1]) for r in table[1:]] == kds
+    assert all(len(r.split(",")[2].split(" ")) == 2 for r in table[1:])
 
 
 def test_sweep_runs_share_initial_ratios():
@@ -351,12 +403,14 @@ def test_sweep_runs_share_initial_ratios():
 
 
 def test_sweep_bounds_constrain_trajectories(tmp_path):
-    cfg = write_config(tmp_path, {"train.epochs": 2})
+    kds, cfg = _kd_grid(tmp_path, 2)
     out = tmp_path / "sweep2"
-    main(["sweep-kd", "--config", cfg, "--out", str(out)])
-    rows = (out / "ratios_kd0.5.csv").read_text().splitlines()[1:]
-    for row in rows:
-        q0, q1 = (float(v) for v in row.split(",")[1:3])
+    main(["train", "--config", cfg, "--out", str(out)])
+    i = kds.index(0.5)
+    rows = (out / f"point{i}" / "ratios.csv").read_text().splitlines()[1:]
+    final_q = (out / "grid.csv").read_text().splitlines()[i + 1].split(",")[2]
+    for q in [row.split(",")[1:3] for row in rows] + [final_q.split(" ")]:
+        q0, q1 = (float(v) for v in q)
         assert 0.25 - 1e-9 <= q0 <= 0.75 + 1e-9
         assert 0.25 - 1e-9 <= q1 <= 0.75 + 1e-9
 
