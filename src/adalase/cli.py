@@ -18,6 +18,8 @@ from .trainer import audit_worst_layer, train
 def _load(args):
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}", field="--seed")
         if "train.seed" in cfg.get("sweep", {}):
             raise ConfigError("the config sweeps train.seed", field="--seed")
         cfg["train"]["seed"] = args.seed
@@ -60,7 +62,7 @@ def cmd_train(args):
 
 
 def cmd_validate(args):
-    cfg = cfgmod.load_config(args.config)
+    cfg = _load(args)
     print(json.dumps(cfg, indent=2, sort_keys=True))
     return 0
 

@@ -54,7 +54,9 @@ DEFAULTS = {
 
 
 def _merge_strict(defaults, user, path=""):
-    out = copy.deepcopy(defaults)
+    """``user`` over ``defaults`` as a tree of fresh dicts; every default leaf is
+    an immutable scalar, so no leaf is copied."""
+    out = {}
     for key, value in user.items():
         dotted = f"{path}.{key}" if path else key
         if key not in defaults:
@@ -72,7 +74,9 @@ def _merge_strict(defaults, user, path=""):
                 raise ConfigError(f"expected {type(default).__name__}, got {value!r}",
                                   field=dotted)
             out[key] = value
-    return out
+    return {key: out[key] if key in out
+            else _merge_strict(default, {}) if isinstance(default, dict) else default
+            for key, default in defaults.items()}
 
 
 def _build(cls, tree, path):

@@ -137,13 +137,16 @@ def gen_synthetic(kind, n, seed, side=8, noise=0.1, separation=4.0):
     striped_patches: horizontal vs vertical stripes, sensitive to spatial
     augmentation by construction.
 
-    Sample i draws a stripe phase and then its side*side pixels. The pixels
-    of a pair are drawn in one call after both phases; that is the same
-    stream, so the bytes do not depend on the order. PCG64, the generator of
-    ``default_rng``, serves ``integers(0, 2)`` from the low half of a 64-bit
-    draw and keeps the high half for the next 32-bit request, which normal
-    draws never touch: a pair's second phase is that kept half either way.
-    A bit generator without this buffering would change the data.
+    Sample i draws a stripe phase, ``integers(0, 2)``, and then its
+    side*side pixels. A pair of samples takes one raw 64-bit word for both
+    phases and then one normal draw for both pixel blocks, the same stream.
+    This relies on PCG64, the generator of ``default_rng``: it serves a
+    32-bit request from the low half of a 64-bit draw and keeps the high half
+    for the next one, which normal draws never touch, and numpy's bounded
+    draw for a range of 2 is the top bit of the 32-bit value. So in word
+    ``u`` sample 2j's phase is bit 31 and sample 2j+1's is bit 63. An odd
+    last sample keeps its ``integers`` call, which leaves the kept half for
+    ``permutation``. ``tests/test_data.py`` pins both facts.
     """
     if n < 2:
         raise ConfigError(f"synthetic dataset needs n >= 2, got {n}")
@@ -166,19 +169,24 @@ def gen_synthetic(kind, n, seed, side=8, noise=0.1, separation=4.0):
             stripes[0, phase, phase::2, :] = 1.0  # horizontal stripes
             stripes[1, phase, :, phase::2] = 1.0  # vertical stripes
         images = np.empty((n, 1, side, side))
-        phases = []
-        for i in range(0, n, 2):
-            phases.append(rng.integers(0, 2))
-            if i + 1 < n:
-                phases.append(rng.integers(0, 2))
+        phases = np.empty(n, dtype=np.int64)
+        raw, words = rng.bit_generator.random_raw, []
+        for i in range(0, n - 1, 2):
+            words.append(raw())
             rng.standard_normal(out=images[i : i + 2])
+        if n % 2:
+            phases[-1] = rng.integers(0, 2)
+            rng.standard_normal(out=images[-1:])
+        words = np.array(words, dtype=np.uint64)
+        phases[0 : n - 1 : 2] = (words >> 31) & 1
+        phases[1::2] = words >> 63
         # the two roundings of rng.normal(0.3, noise): 0.3 + noise * z
         images *= noise
         images += 0.3
         images[:, 0, lo : lo + p, lo : lo + p] += (stripes - 0.3)[labels, phases]
     else:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
-    images = np.clip(images, 0.0, 1.0)
+    np.clip(images, 0.0, 1.0, out=images)
     perm = rng.permutation(n)
     return Dataset(images[perm], labels[perm].astype(np.int64), 2)
 

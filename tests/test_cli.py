@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from adalase.cli import main
-from adalase.config import (list_presets, load_config, make_network, make_splits,
-                            validate_config)
+from adalase.config import (DEFAULTS, list_presets, load_config, make_network,
+                            make_splits, validate_config)
 from adalase.data import gen_synthetic, save_raw
 from adalase.engine.checkpoint import save_weights
 from adalase.errors import ConfigError
@@ -216,6 +216,24 @@ def test_presets_all_load():
         assert cfg["preset"] == name
 
 
+def test_loaded_config_shares_no_dict_with_defaults_or_the_next_load():
+    before = json.dumps(DEFAULTS, sort_keys=True)
+    first = load_config("mlp-fig5")
+    # subtrees the preset sets (model, train.adalase) and ones it leaves to
+    # the defaults (train.schedule, train.pseudo_val_aug)
+    first["train"]["seed"] = 99
+    first["train"]["adalase"]["eta"] = 7.0
+    first["train"]["schedule"]["shape"] = "spiral"
+    first["train"]["pseudo_val_aug"].clear()
+    first["model"].clear()
+    assert json.dumps(DEFAULTS, sort_keys=True) == before
+    again = load_config("mlp-fig5")
+    assert again["train"]["seed"] == 0 and again["train"]["adalase"]["eta"] == 1.0
+    assert again["train"]["schedule"]["shape"] == DEFAULTS["train"]["schedule"]["shape"]
+    assert again["train"]["pseudo_val_aug"] == DEFAULTS["train"]["pseudo_val_aug"]
+    assert again["model"]["kind"] == "mlp"
+
+
 def test_invalid_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json }")
@@ -364,6 +382,22 @@ def test_seed_flag_rejected_when_the_seed_is_swept(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--seed", "3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --seed: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "validate"])
+def test_negative_seed_flag_is_a_field_error(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    argv = [command, "--config", "mlp-fig5", "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --seed: seed must be >= 0")
+    assert not out.exists()
+
+
+def test_validate_prints_the_seed_and_out_overrides(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert main(["validate", "--config", "mlp-fig5", "--seed", "5", "--out", out]) == 0
+    effective = json.loads(capsys.readouterr().out)
+    assert effective["train"]["seed"] == 5 and effective["out_dir"] == out
 
 
 def test_model_grid_records_each_models_tap_count(tmp_path):

@@ -265,6 +265,20 @@ def test_default_rng_is_pcg64():
         "stream only under PCG64's 32-bit buffering: see its docstring")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_two_coin_draws_are_bits_31_and_63_of_one_raw_word(seed):
+    # gen_synthetic reads a pair's two phases out of one random_raw() word
+    drawn, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        first, second = drawn.integers(0, 2), drawn.integers(0, 2)
+        word = twin.bit_generator.random_raw()
+        assert (first, second) == ((word >> 31) & 1, word >> 63)
+        a, b = drawn.bit_generator.state, twin.bit_generator.state
+        assert a["state"] == b["state"] and a["has_uint32"] == b["has_uint32"] == 0
+        drawn.standard_normal(2 * 64)
+        twin.standard_normal(2 * 64)
+
+
 @pytest.mark.parametrize("kind", ["two_gaussians", "striped_patches"])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_synthetic_matches_per_sample_loop_bytes(kind, seed):
