@@ -7,7 +7,6 @@ are the dataclass defaults and its checks are the dataclass validators.
 An optional top-level ``sweep`` makes the config a grid (see ``grid_points``).
 """
 
-import copy
 import dataclasses
 import itertools
 import json
@@ -51,6 +50,12 @@ DEFAULTS = {
     },
     "train": dataclasses.asdict(TrainConfig()),
 }
+
+# ``train`` keys that only the adaptive schedule reads (``d_scale`` sets the
+# lower limit, which only ratio updates use)
+ADAPTIVE_ONLY = ("adalase.eta", "adalase.avg_window", "adalase.d_scale",
+                 "adalase.dot_normalization", "val_mode", "pseudo_val_aug",
+                 "ratio_updates", "update_cadence")
 
 
 def _merge_strict(defaults, user, path=""):
@@ -101,6 +106,12 @@ def _build(cls, tree, path):
         raise ConfigError(exc.reason, field=f"{path}.{name}" if name else path) from None
 
 
+def _at(tree, dotted):
+    for key in dotted.split("."):
+        tree = tree[key]
+    return tree
+
+
 def _check(cond, message, field):
     if not cond:
         raise ConfigError(message, field=field)
@@ -148,12 +159,15 @@ def validate_config(raw):
             _check(os.path.exists(ds[f]), f"path does not exist: {ds[f]}", f"dataset.{f}")
     train_cfg = make_train_config(cfg)
     # keys the run would silently ignore: only their defaults are accepted
-    tr, default_tr = cfg["train"], DEFAULTS["train"]
-    _check(tr["update_cadence"] != "epoch"
-           or tr["adalase"]["avg_window"] == default_tr["adalase"]["avg_window"],
-           "avg_window is read only under update_cadence 'window'", "train.adalase.avg_window")
-    _check(tr["val_mode"] != "true" or tr["pseudo_val_aug"] == default_tr["pseudo_val_aug"],
-           "pseudo_val_aug is read only under val_mode 'pseudo'", "train.pseudo_val_aug")
+    tr = cfg["train"]
+    shape = tr["schedule"]["shape"]
+    for key, read, when in (
+            *((key, shape == "adaptive", "schedule 'adaptive'") for key in ADAPTIVE_ONLY),
+            ("schedule.fixed_index", shape == "fixed", "schedule 'fixed'"),
+            ("adalase.avg_window", tr["update_cadence"] == "window", "update_cadence 'window'"),
+            ("pseudo_val_aug", tr["val_mode"] == "pseudo", "val_mode 'pseudo'")):
+        _check(read or _at(tr, key) == _at(DEFAULTS["train"], key),
+               f"{key.rsplit('.', 1)[-1]} is read only under {when}", f"train.{key}")
     if synthetic:
         check_mixing_batches(train_cfg, ds["subsample_count"] or ds["train_count"],
                              ds["val_count"] or ds["test_count"])
@@ -187,12 +201,16 @@ def grid_points(cfg):
     base = {k: v for k, v in cfg.items() if k != "sweep"}
     points = []
     for combo in itertools.product(*sweep.values()):
-        point = copy.deepcopy(base)
+        point = dict(base)
         for dotted, value in zip(sweep, combo):
             *parents, leaf = dotted.split(".")
             node = point
             for key in parents:
-                node = node.get(key) if isinstance(node, dict) else None
+                child = node.get(key) if isinstance(node, dict) else None
+                if isinstance(child, dict):  # copy only the dicts on the swept path
+                    child = dict(child)
+                    node[key] = child
+                node = child
             # only a value key can be swept, not an object of keys
             _check(isinstance(node, dict) and not isinstance(node.get(leaf, {}), dict),
                    f"unknown key {dotted!r}", "sweep")

@@ -115,7 +115,7 @@ class Dense(Layer):
         self._in_shape = x.shape
         y = x2 @ self.w.T
         if self.b is not None:
-            y = y + self.b
+            y += self.b
         return y.reshape(b, self.out_features, 1, 1)
 
     def backward(self, gy, input_grad=True):

@@ -12,9 +12,8 @@ def check_soft_labels(labels):
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ShapeError(f"soft labels must be 2-D, got shape {labels.shape}")
-    row_sums = labels.sum(axis=1)
-    if not np.all(np.abs(row_sums - 1.0) <= LABEL_ROW_SUM_TOL):
-        worst = float(np.abs(row_sums - 1.0).max())
+    worst = float(np.abs(labels.sum(axis=1) - 1.0).max(initial=0.0))
+    if not worst <= LABEL_ROW_SUM_TOL:  # a NaN row fails too
         raise ValidationError(f"soft-label rows must sum to 1 (max deviation {worst:.3e})")
     return labels
 
@@ -29,7 +28,10 @@ def one_hot(class_ids, num_classes, dtype=np.float64):
 def cross_entropy(logits, soft_labels):
     """Mean soft-label cross entropy with max-subtraction stabilization.
 
-    Returns (loss, dloss/dlogits).
+    Returns (loss, dloss/dlogits). The products and the gradient are formed in
+    place on the function's own temporaries, after casting them to the dtype
+    that mixing them with the labels promotes to: the same IEEE operations as
+    ``-(labels * log_probs).sum() / batch`` and ``(probs - labels) / batch``.
     """
     logits = np.asarray(logits)
     soft_labels = check_soft_labels(soft_labels)
@@ -38,11 +40,16 @@ def cross_entropy(logits, soft_labels):
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
-    probs = exp / total
     log_probs = shifted - np.log(total)
+    exp /= total  # probs
+    dtype = np.result_type(exp, soft_labels)
+    log_probs = log_probs.astype(dtype, copy=False)
+    log_probs *= soft_labels
     batch = logits.shape[0]
-    loss = float(-(soft_labels * log_probs).sum() / batch)
-    dlogits = (probs - soft_labels) / batch
+    loss = float(-log_probs.sum() / batch)
+    dlogits = exp.astype(dtype, copy=False)
+    dlogits -= soft_labels
+    dlogits /= batch
     return loss, dlogits
 
 

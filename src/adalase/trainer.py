@@ -217,15 +217,20 @@ def adalase_iteration(net, train_batch, pseudo_batch, ratios, opt, cfg,
     l = sample_position(ratios, pos_rng)
     _, loss, _ = net.forward_with_tap(x, labels, tap=l, aug=cfg.train_aug, rng=aug_rng)
     g_train = net.backward()
-    for what, value in (("pseudo-validation loss", pseudo_loss), ("training loss", loss),
-                        ("pseudo-validation gradient", g_da), ("training gradient", g_train)):
-        if value is not None and not np.isfinite(value).all():
+    for what, finite in (
+            ("pseudo-validation loss", pseudo_loss is None or math.isfinite(pseudo_loss)),
+            ("training loss", math.isfinite(loss)),
+            ("pseudo-validation gradient", g_da is None or np.isfinite(g_da).all()),
+            ("training gradient", np.isfinite(g_train).all())):
+        if not finite:
             raise NonFiniteError(what, l)
     dot = None
     if g_da is not None:
         dot = grad_dot(g_da, g_train)
         if cfg.adalase.dot_normalization == "cosine":
-            dot /= float(np.linalg.norm(g_da) * np.linalg.norm(g_train) + 1e-12)
+            # the 2-norm as np.linalg.norm computes it for a 1-D float array
+            norms = np.sqrt(g_da.dot(g_da)) * np.sqrt(g_train.dot(g_train))
+            dot /= float(norms + 1e-12)
     opt.current_lr = cosine_lr(opt.t, opt.total_steps, opt.base_lr)
     sgd_momentum_step(net, g_train, opt)
     opt.t += 1

@@ -4,6 +4,7 @@ label-convexity, and degenerate-identity properties."""
 import numpy as np
 import pytest
 
+from adalase import augment
 from adalase.augment import (INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec,
                              apply_at_position, cutmix, cutout, flip_horizontal,
                              mixup, rotate, rotation, shift, translation)
@@ -132,6 +133,29 @@ def test_translation_shift_shared_across_channels(rng):
     ref = translation(x[:, :1], 0.4, np.random.default_rng(7))
     # re-running with the same stream on channel 0 alone reproduces channel 0
     assert np.array_equal(out[:, :1], ref)
+
+
+def test_box_mask_does_not_alias_its_table():
+    first = augment._boxes(np.random.default_rng(0), 4, 8, 8, 3, 3)
+    first[...] = True
+    again = augment._boxes(np.random.default_rng(0), 4, 8, 8, 3, 3)
+    assert again.shape == (4, 1, 8, 8) and again.sum() == 4 * 3 * 3
+
+
+def test_box_table_is_read_only():
+    table = augment._box_table(8, 8, 3, 3)
+    assert table.shape == (6, 6, 8, 8) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0, 0] = False
+
+
+def test_cutmix_box_tables_are_bounded_by_the_map_side(rng):
+    augment._box_table.cache_clear()
+    x = rng.normal(size=(4, 1, 8, 8))
+    labels = one_hot(rng.integers(0, 2, size=4), 2)
+    for _ in range(200):
+        cutmix(x, labels, alpha=0.5, rng=rng)
+    assert augment._box_table.cache_info().currsize <= 9  # one per side: rh == rw
 
 
 # ---- cutmix -----------------------------------------------------------------

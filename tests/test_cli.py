@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from adalase.cli import main
-from adalase.config import (DEFAULTS, list_presets, load_config, make_network,
-                            make_splits, validate_config)
+from adalase.config import (DEFAULTS, grid_points, list_presets, load_config,
+                            make_network, make_splits, validate_config)
 from adalase.data import gen_synthetic, save_raw
 from adalase.engine.checkpoint import save_weights
 from adalase.errors import ConfigError
@@ -111,6 +111,27 @@ def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field)
     for argv in (["validate", "--config", cfg], ["train", "--config", cfg, "--out", str(out)]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,shape", [
+    pytest.param(key, value, shape, id=key) for key, value, shape in (
+        ("train.adalase.eta", 3.0, "uniform"),
+        ("train.adalase.avg_window", 4, "linear_inc"),
+        ("train.adalase.d_scale", 0.2, "uniform"),
+        ("train.adalase.dot_normalization", "cosine", "fixed"),
+        ("train.val_mode", "true", "uniform"),
+        ("train.pseudo_val_aug", {"degree_range": 30.0}, "uniform"),
+        ("train.ratio_updates", False, "mountain"),
+        ("train.update_cadence", "window", "uniform"),
+        ("train.schedule.fixed_index", 1, "uniform"))])
+def test_key_the_schedule_never_reads_is_rejected(tmp_path, capsys, key, value, shape):
+    cfg = write_config(tmp_path, {key: value, "train.schedule.shape": shape})
+    out = tmp_path / "run"
+    for argv in (["validate", "--config", cfg], ["train", "--config", cfg, "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and "is read only under schedule '" in err
     assert not out.exists()
 
 
@@ -368,6 +389,21 @@ def test_grid_point_matches_a_plain_run_of_its_config(tmp_path):
         assert ((tmp_path / "grid" / "point2" / name).read_bytes()
                 == (tmp_path / "plain" / name).read_bytes()), name
     assert not (tmp_path / "plain" / "point0").exists()
+
+
+def test_grid_points_leave_the_base_config_unchanged():
+    base = load_config("sweep-kd")
+    base["sweep"]["train.seed"] = [0, 1]
+    before = json.dumps(base, sort_keys=True)
+    points = grid_points(base)
+    assert json.dumps(base, sort_keys=True) == before
+    assert [values for values, _ in points] == [
+        {"train.adalase.d_scale": d, "train.seed": s}
+        for d in (0.1, 0.2, 0.3, 0.4, 0.5) for s in (0, 1)]
+    for values, point in points:
+        assert (point["train"]["adalase"]["d_scale"], point["train"]["seed"]) == (
+            values["train.adalase.d_scale"], values["train.seed"])
+        assert point["train"] is not base["train"] and point["dataset"] is not base["dataset"]
 
 
 def test_sweep_unknown_key_is_named(tmp_path, capsys):

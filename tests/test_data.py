@@ -390,6 +390,26 @@ def test_pseudo_batch_zero_degree_rotation_is_plain_draw():
     assert np.array_equal(rot[1], plain[1])
 
 
+def test_pseudo_batch_kind_none_skips_the_dispatch(monkeypatch):
+    from adalase import augment, data
+
+    ds = gen_synthetic("striped_patches", 40, seed=0)
+    dispatched_rng, direct_rng = np.random.default_rng(6), np.random.default_rng(6)
+    idx = dispatched_rng.choice(len(ds), size=8, replace=False)
+    labels = data.one_hot(ds.labels[idx], ds.num_classes)
+    dispatched = augment.apply_at_position(AugSpec(kind="none"), ds.images[idx], labels,
+                                           dispatched_rng, position=0)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("kind 'none' reached apply_at_position")
+
+    monkeypatch.setattr(data, "apply_at_position", unreachable)
+    images, got_labels = pseudo_val_batch(ds, 8, AugSpec(kind="none"), direct_rng)
+    for got, want in ((images, dispatched.tensor), (got_labels, dispatched.labels)):
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    assert direct_rng.bit_generator.state == dispatched_rng.bit_generator.state
+
+
 def test_pseudo_batch_rejects_feature_space_kinds():
     ds = gen_synthetic("striped_patches", 10, seed=0)
     with pytest.raises(PolicyError):

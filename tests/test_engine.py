@@ -56,6 +56,50 @@ def test_cross_entropy_large_logits_stay_finite():
     assert np.isfinite(loss) and np.all(np.isfinite(dlogits))
 
 
+def _cross_entropy_reference(logits, soft_labels):
+    """The formula as first written, one fresh array per step."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total
+    log_probs = shifted - np.log(total)
+    batch = logits.shape[0]
+    loss = float(-(soft_labels * log_probs).sum() / batch)
+    return loss, (probs - soft_labels) / batch
+
+
+@pytest.mark.parametrize("labels_dtype", ["same", np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_bytes_match_reference(dtype, labels_dtype):
+    # from C = 8 on, numpy's pairwise row sums stop being sequential; B = 37 is
+    # the batch whose 1/B is inexact, so a division cannot pass as a product
+    rng = np.random.default_rng(11)
+    for b in (1, 37, 64, 256):
+        for c in (2, 3, 10):
+            soft = rng.dirichlet(np.ones(c), size=b)
+            hard = one_hot(rng.integers(0, c, size=b), c)
+            wide = rng.choice([-1e4, 1e4], size=(b, c))
+            for logits, labels in ((rng.normal(0, 3, (b, c)), soft),
+                                   (rng.normal(0, 3, (b, c)), hard), (wide, hard), (wide, soft)):
+                logits = logits.astype(dtype)
+                labels = labels.astype(dtype if labels_dtype == "same" else labels_dtype)
+                before = logits.tobytes(), labels.tobytes()
+                loss, dlogits = cross_entropy(logits, labels)
+                ref_loss, ref_dlogits = _cross_entropy_reference(logits, labels)
+                where = f"B={b} C={c} {np.dtype(dtype).name}"
+                assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), where
+                assert dlogits.dtype == ref_dlogits.dtype, where
+                assert dlogits.tobytes() == ref_dlogits.tobytes(), where
+                assert (logits.tobytes(), labels.tobytes()) == before, where
+
+
+def test_non_finite_label_row_fails_the_check():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="soft-label rows must sum to 1"):
+            check_soft_labels(np.array([[0.5, 0.5], [bad, 0.0]]))
+    assert check_soft_labels(np.zeros((0, 3))).shape == (0, 3)  # no rows, nothing to fail
+
+
 def test_soft_labels_must_normalize():
     with pytest.raises(ValidationError):
         check_soft_labels(np.array([[0.7, 0.7]]))
