@@ -14,7 +14,11 @@ size on a 32x32 map. Parameters are drawn in per-sample order, so a seeded
 stream yields the same outcome and end state as a sample-by-sample loop.
 mixup and cutmix are one partner blend (``_mix``) under a scalar or box-mask
 weight; the partner map is a permutation, so its gradient is a gather through
-the inverse permutation.
+the inverse permutation. Both gathers run along the batch axis of the map's
+buffer (``_partners``): a hidden map that is a (B, C, H, W) view of a
+(C, H, W, B) buffer is gathered with ``np.take`` on the (C*H*W, B) view, so
+mixup hands the next layer the batch-innermost layout it received; an input
+batch in C order is gathered as ``x[perm]``.
 """
 
 import functools
@@ -80,6 +84,14 @@ def _pairing(batch, labels, alpha, rng, lam):
     return batch, labels, lam, rng.permutation(batch.shape[0])
 
 
+def _partners(a, idx):
+    """``a[idx]``; a batch-innermost ``a`` is gathered on its buffer and keeps that layout."""
+    buf = np.moveaxis(a, 0, -1)
+    if not buf.flags.c_contiguous:
+        return a[idx]
+    return np.moveaxis(np.take(buf.reshape(-1, len(a)), idx, axis=1).reshape(buf.shape), -1, 0)
+
+
 def _mix(batch, labels, perm, keep, take, lam):
     """Blend sample s with partner perm[s]: ``keep * x + take * x[perm]``.
 
@@ -87,9 +99,16 @@ def _mix(batch, labels, perm, keep, take, lam):
     Sample s is the partner of output argsort(perm)[s] only, so the gradient
     is a gather through the inverse permutation.
     """
-    out = keep * batch + take * batch[perm]
+    out = keep * batch
+    out += take * _partners(batch, perm)
     mixed = lam * labels + (1.0 - lam) * labels[perm]
-    return AugOutcome(out, mixed, lam, lambda g: keep * g + (take * g)[np.argsort(perm)])
+
+    def grad_fn(g):
+        gx = keep * g
+        gx += _partners(take * g, np.argsort(perm))
+        return gx
+
+    return AugOutcome(out, mixed, lam, grad_fn)
 
 
 def mixup(batch, labels, alpha, rng, lam=None):

@@ -4,11 +4,15 @@ All activations are rank-4 arrays (batch, channels, height, width). Dense
 layers flatten internally and emit (batch, features, 1, 1) so taps can sit
 between any pair of layers without special-casing ranks.
 
-The conv stack keeps its maps batch-innermost: conv, pooling and gradient
-results are (B, C, H, W) views of (C, H, W, B) buffers, and ReLU and the
-residual sum are elementwise ufuncs that keep their input's memory order. So
-every patch copy in ``im2col`` moves runs of B contiguous values, and the
-conv backward reads its output gradient as a matrix without a copy.
+The conv stack keeps its maps batch-innermost: every hidden map and gradient
+of a ``tiny_cnn`` pass is a (B, C, H, W) view of a (C, H, W, B) buffer. Conv,
+pooling and residual results are batch-innermost whatever layout they are
+given (the residual sum is formed in place on the fresh conv output), ReLU
+keeps its input's memory order, and a hidden-tap mixup keeps it too
+(``augment._partners``). So every patch copy in ``im2col`` moves runs of B
+contiguous values, and the conv backward reads its output gradient as a
+matrix without a copy. ``GlobalAvgPool`` reduces the (C, H, W, B) buffer, so
+its output bytes do not depend on its input's layout.
 """
 
 import math
@@ -188,44 +192,56 @@ class ReLU(Layer):
         return gy * self._mask
 
 
-def _pool_corners(x):
-    """The four 2x2-window corners of ``x`` as strided views, in ``t = 2*i + j`` order."""
-    ho, wo = x.shape[2] // 2, x.shape[3] // 2
-    return [x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)]
+def _windows(a, ho, wo):
+    """The 2x2 pooling windows of (B, C, H, W) map ``a`` as a (2, 2, C, Ho, Wo, B)
+    view: ``[i, j]`` holds window corner (i, j), batch innermost."""
+    t = a.transpose(1, 2, 3, 0)[:, : 2 * ho, : 2 * wo]
+    return t.reshape(t.shape[0], ho, 2, wo, 2, t.shape[3]).transpose(2, 4, 0, 1, 3, 5)
 
 
 class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2; trailing odd row/column dropped (floor shapes).
 
-    Works on the window corners as strided views, so the output keeps the
-    input's memory order; the input gradient is batch-innermost. ``_arg``
-    holds the first corner at the max, or at the first NaN when the max is
-    NaN, as ``argmax`` would.
+    The forward copies the four window corners, from any input layout, into
+    the rows of one contiguous (4, C*Ho*Wo*B) buffer and works on those rows,
+    so ``y`` and the input gradient are batch-innermost. ``_arg`` holds the
+    first corner at the max, or at the first NaN when the max is NaN, as
+    ``argmax`` would. The backward routes ``gy`` into the four rows and
+    scatters them into the input gradient in one copy.
     """
 
     def forward(self, x, keep=True):
-        _, _, h, w = x.shape
+        b, c, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"maxpool needs spatial dims >= 2, got {h}x{w}")
-        q = _pool_corners(x)
-        y = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+        ho, wo = h // 2, w // 2
+        q = np.empty((4, c * ho * wo * b), dtype=x.dtype)
+        q.reshape(2, 2, c, ho, wo, b)[...] = _windows(x, ho, wo)
+        y = np.maximum(q[0], q[1])
+        np.maximum(y, np.maximum(q[2], q[3]), out=y)
         self._arg = None
         if keep:
-            # _arg counts the corners before the first one equal to the max or NaN
-            self._arg = np.zeros_like(y, dtype=np.int8)
+            # arg counts the corners before the first one equal to the max or NaN
+            arg = np.zeros(y.size, dtype=np.int8)
             before = True
             for t in range(3):
                 before = before & (q[t] != y) & (q[t] == q[t])
-                self._arg += before
+                arg += before
+            self._arg = arg.reshape(c, ho, wo, b).transpose(3, 0, 1, 2)
         self._x_shape = x.shape
-        return y
+        return y.reshape(c, ho, wo, b).transpose(3, 0, 1, 2)
 
     def backward(self, gy):
         b, c, h, w = self._x_shape
-        gx = np.zeros((c, h, w, b), dtype=gy.dtype).transpose(3, 0, 1, 2)
-        for t, corner in enumerate(_pool_corners(gx)):
-            np.multiply(gy, self._arg == t, out=corner)
-        return gx
+        ho, wo = h // 2, w // 2
+        g, arg = gy.transpose(1, 2, 3, 0), self._arg.transpose(1, 2, 3, 0)
+        rows = np.empty((4, c, ho, wo, b), dtype=gy.dtype)
+        for t in range(4):
+            np.multiply(g, arg == t, out=rows[t])
+        # an odd trailing row or column is in no window: its gradient is zero
+        gx = (np.zeros if h % 2 or w % 2 else np.empty)((c, h, w, b), dtype=gy.dtype)
+        _windows(gx.transpose(3, 0, 1, 2), ho, wo)[...] = rows.reshape(2, 2, c, ho, wo, b)
+        return gx.transpose(3, 0, 1, 2)
 
 
 class ResidualBlock(Layer):
@@ -243,13 +259,17 @@ class ResidualBlock(Layer):
 
     def forward(self, x, keep=True):
         h = self.relu1.forward(self.conv1.forward(x, keep=keep), keep=keep)
-        return self.relu2.forward(self.conv2.forward(h, keep=keep) + x, keep=keep)
+        y = self.conv2.forward(h, keep=keep)
+        y += x  # on the fresh conv output, so the sum is batch-innermost
+        return self.relu2.forward(y, keep=keep)
 
     def backward(self, gy, input_grad=True):
         g = self.relu2.backward(gy)
         gh = self.conv2.backward(g)
         gx = self.conv1.backward(self.relu1.backward(gh), input_grad=input_grad)
-        return gx + g if input_grad else None
+        if gx is not None:
+            gx += g
+        return gx
 
 
 class Reshape(Layer):
@@ -271,9 +291,13 @@ class Reshape(Layer):
 
 
 class GlobalAvgPool(Layer):
+    """Spatial mean per channel, on the (C, H, W, B) buffer whatever the input layout."""
+
     def forward(self, x, keep=True):
+        b, c, h, w = x.shape
         self._x_shape = x.shape
-        return x.mean(axis=(2, 3), keepdims=True)
+        buf = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+        return buf.reshape(c, h * w, b).mean(axis=1).T.reshape(b, c, 1, 1)
 
     def backward(self, gy):
         b, c, h, w = self._x_shape

@@ -26,6 +26,11 @@ def batch_innermost_view(a):
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
+def is_batch_innermost(a):
+    """Whether (B, C, H, W) array ``a`` is a view of a C-ordered (C, H, W, B) buffer."""
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
 def write_idx_pair(tmp_path, images, labels):
     """Write (N, rows, cols) uint8 images and their labels as an IDX pair in
     directory ``tmp_path``; returns the two paths."""

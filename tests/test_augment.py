@@ -11,7 +11,7 @@ from adalase.augment import (INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec,
 from adalase.engine.losses import one_hot
 from adalase.errors import (ConfigError, DegenerateBatchError, PolicyError,
                             ShapeError)
-from conftest import batch_innermost_view
+from conftest import batch_innermost_view, is_batch_innermost
 
 
 # ---- spec validation --------------------------------------------------------
@@ -74,6 +74,23 @@ def test_mixup_gradient_routes_to_both_partners(rng):
     gx = out.grad_fn(g)
     # total gradient mass is conserved: each sample feeds lam + (1-lam) paths
     assert np.allclose(gx.sum(), g.sum(), atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mixup_keeps_a_batch_innermost_layout(rng, dtype):
+    # a hidden tap's map is a view of a (C, H, W, B) buffer; the partner is
+    # gathered on that buffer, so the blend and its gradient keep the layout
+    x = rng.normal(size=(6, 3, 4, 5)).astype(dtype)
+    labels = one_hot(rng.integers(0, 3, size=6), 3)
+    g = rng.normal(size=x.shape).astype(dtype)
+    got, want = (mixup(layout(x), labels, 1.0, np.random.default_rng(8))
+                 for layout in (batch_innermost_view, np.ascontiguousarray))
+    assert is_batch_innermost(got.tensor)
+    assert got.tensor.dtype == dtype and np.array_equal(got.tensor, want.tensor)
+    gx = got.grad_fn(batch_innermost_view(g))
+    assert is_batch_innermost(gx) and np.array_equal(gx, want.grad_fn(g))
+    # a C-ordered input, such as a data batch, stays C-ordered
+    assert want.tensor.flags.c_contiguous and want.grad_fn(g).flags.c_contiguous
 
 
 # ---- cutout -----------------------------------------------------------------

@@ -135,6 +135,24 @@ def test_key_the_schedule_never_reads_is_rejected(tmp_path, capsys, key, value, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    pytest.param(key, value, id=key) for key, value in (
+        ("train.adalase.eta", 3.0),
+        ("train.adalase.avg_window", 5),
+        ("train.adalase.d_scale", 0.5),
+        ("train.adalase.dot_normalization", "cosine"),
+        ("train.update_cadence", "window"))])
+def test_key_a_frozen_adaptive_run_never_reads_is_rejected(tmp_path, capsys, key, value):
+    # with ratio_updates false the ratios never move: these keys only feed updates
+    cfg = write_config(tmp_path, {key: value, "train.ratio_updates": False})
+    out = tmp_path / "run"
+    for argv in (["validate", "--config", cfg], ["train", "--config", cfg, "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {key}: {key.rsplit('.', 1)[-1]} is read only under ratio_updates true")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"dataset.synthetic_kind": "two_gaussians", "dataset.side": 1},
     {"model.hidden": 1},

@@ -16,7 +16,8 @@ from adalase.engine.losses import check_soft_labels, cross_entropy, grad_dot, on
 from adalase.engine.network import Network, finite_diff_grad
 from adalase.errors import (DataFormatError, PolicyError, ShapeError, StateError,
                             TapRangeError, ValidationError)
-from conftest import batch_innermost_view, perturb_params, tiny_cnn, tiny_mlp
+from conftest import (batch_innermost_view, is_batch_innermost, perturb_params, tiny_cnn,
+                      tiny_mlp)
 
 
 # ---- losses -----------------------------------------------------------------
@@ -190,16 +191,18 @@ def test_maxpool_forward_is_bitwise_flat_max_at_first_argmax(case):
         x = rng.integers(-1, 2, size=x.shape).astype(float)
     elif case == "nan":
         x[rng.random(x.shape) < 0.2] = np.nan
-    pool = MaxPool2x2()
-    y = pool.forward(x)
     flat = _pool_windows(x)
     want = flat.max(axis=-1)
-    assert y.shape == want.shape and y.tobytes() == want.tobytes()
-    # first max wins: a NaN counts as the max, as in argmax
-    for idx in np.ndindex(*want.shape):
-        window = list(flat[idx])
-        first = next(i for i, v in enumerate(window) if v == want[idx] or np.isnan(v))
-        assert pool._arg[idx] == first, idx
+    pool = MaxPool2x2()
+    for layout in (np.ascontiguousarray, batch_innermost_view):
+        y = pool.forward(layout(x))
+        assert y.shape == want.shape and y.tobytes() == want.tobytes(), layout.__name__
+        assert is_batch_innermost(y), layout.__name__
+        # first max wins: a NaN counts as the max, as in argmax
+        for idx in np.ndindex(*want.shape):
+            window = list(flat[idx])
+            first = next(i for i, v in enumerate(window) if v == want[idx] or np.isnan(v))
+            assert pool._arg[idx] == first, (layout.__name__, idx)
 
 
 def _put_along_axis_pool_backward(x, gy):
@@ -232,8 +235,25 @@ def test_maxpool_backward_matches_put_along_axis_reference(case):
         pool.forward(layout(x))
         got = pool.backward(layout(gy))
         assert got.shape == want.shape and got.dtype == want.dtype
+        assert is_batch_innermost(got), layout.__name__
         # equal as values: an unrouted corner may hold -0.0 where the reference has +0.0
         assert np.array_equal(got, want), layout.__name__
+
+
+@pytest.mark.parametrize("shape", [(64, 8, 4, 4), (5, 3, 3, 3), (7, 2, 5, 6), (4, 3, 1, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_global_avg_pool_bytes_do_not_depend_on_the_input_layout(shape, dtype):
+    # the mean is taken on the (C, H, W, B) buffer: on a batch-innermost view the
+    # bytes are those of numpy's own mean, and a C-ordered copy gives the same
+    x = np.random.default_rng(5).normal(size=shape).astype(dtype)
+    x.flat[::11] = np.float32(1e4)  # large terms make the summation order show
+    x.flat[7] = np.nan
+    want = batch_innermost_view(x).mean(axis=(2, 3), keepdims=True)
+    pool = GlobalAvgPool()
+    for layout in (np.ascontiguousarray, batch_innermost_view):
+        got = pool.forward(layout(x))
+        assert got.shape == want.shape and got.dtype == want.dtype, layout.__name__
+        assert got.tobytes() == want.tobytes(), layout.__name__
 
 
 @pytest.mark.parametrize("h,w,k,pad", [
@@ -492,7 +512,35 @@ def test_activations_stay_batch_innermost(monkeypatch):
     net.predict(np.random.default_rng(22).normal(size=(5, 1, 6, 6)))
     assert len(outputs) == 13
     for name, y in outputs:
-        assert min(y.shape) > 1 and np.moveaxis(y, 0, -1).flags.c_contiguous, name
+        assert min(y.shape) > 1 and is_batch_innermost(y), name
+
+
+@pytest.mark.parametrize("tap", range(4))
+def test_mixup_at_any_tap_keeps_the_conv_stack_batch_innermost(monkeypatch, tap):
+    # past the stem every map is a (B, C, H, W) view of a (C, H, W, B) buffer,
+    # mixed or not, and so is every gradient the conv stack hands down; Dense
+    # and GlobalAvgPool take their gradients from the dense head
+    net = tiny_cnn(23, side=6, width=3)
+    seen = []
+    for cls in (Conv2d, ReLU, ResidualBlock, MaxPool2x2, GlobalAvgPool, Dense):
+        def forward(self, x, _original=cls.forward, **kwargs):
+            if self is not net.layers[0]:
+                seen.append((f"{type(self).__name__}.forward", x))
+            return _original(self, x, **kwargs)
+        monkeypatch.setattr(cls, "forward", forward)
+        if cls not in (GlobalAvgPool, Dense):
+            def backward(self, gy, _original=cls.backward, **kwargs):
+                seen.append((f"{type(self).__name__}.backward", gy))
+                return _original(self, gy, **kwargs)
+            monkeypatch.setattr(cls, "backward", backward)
+    b = 8
+    x = np.random.default_rng(23).normal(size=(b, 1, 6, 6))
+    net.forward_with_tap(x, one_hot(np.arange(b) % 2, 2), tap=tap,
+                         aug=AugSpec(kind="mixup"), rng=np.random.default_rng(tap))
+    net.backward()
+    assert len(seen) == 27  # 14 inputs past layer 0, 13 gradients
+    for name, a in seen:
+        assert min(a.shape[:2]) > 1 and is_batch_innermost(a), name
 
 
 def test_param_vector_round_trip(rng):

@@ -9,7 +9,8 @@ build. A change meant to alter the outputs refreshes the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description why the bytes moved.
+and says in its description why the bytes moved; the command prints each run
+directory whose digests moved against the committed file.
 """
 
 import hashlib
@@ -66,6 +67,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = preset_digests(tmp)
+    with open(GOLDEN) as fh:
+        old = json.load(fh)
+    for run in sorted(set(old) | set(table)):
+        if table.get(run) != old.get(run):
+            print(f"moved: {run}")
     with open(GOLDEN, "w") as fh:
         fh.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} run digests to {GOLDEN}")
