@@ -51,11 +51,10 @@ DEFAULTS = {
     "train": dataclasses.asdict(TrainConfig()),
 }
 
-# ``train`` keys that only ratio updates read (``d_scale`` sets the lower limit,
-# which only updates use), and those that only the adaptive schedule reads
-UPDATE_ONLY = ("adalase.eta", "adalase.avg_window", "adalase.d_scale",
-               "adalase.dot_normalization", "update_cadence")
-ADAPTIVE_ONLY = UPDATE_ONLY + ("val_mode", "pseudo_val_aug", "ratio_updates")
+# ``train`` keys that only the adaptive schedule reads: the ratio updates and
+# their lower limit (``d_scale``), and the pseudo-validation batch
+ADAPTIVE_ONLY = ("adalase.eta", "adalase.avg_window", "adalase.d_scale",
+                 "adalase.dot_normalization", "val_mode", "pseudo_val_aug")
 
 
 def _merge_strict(defaults, user, path=""):
@@ -163,9 +162,7 @@ def validate_config(raw):
     shape = tr["schedule"]["shape"]
     for key, read, when in (
             *((key, shape == "adaptive", "schedule 'adaptive'") for key in ADAPTIVE_ONLY),
-            *((key, tr["ratio_updates"], "ratio_updates true") for key in UPDATE_ONLY),
             ("schedule.fixed_index", shape == "fixed", "schedule 'fixed'"),
-            ("adalase.avg_window", tr["update_cadence"] == "window", "update_cadence 'window'"),
             ("pseudo_val_aug", tr["val_mode"] == "pseudo", "val_mode 'pseudo'")):
         _check(read or _at(tr, key) == _at(DEFAULTS["train"], key),
                f"{key.rsplit('.', 1)[-1]} is read only under {when}", f"train.{key}")

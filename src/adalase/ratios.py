@@ -31,15 +31,15 @@ class AcceptanceRatios:
 @dataclass
 class AdaLaseConfig:
     eta: float = 1.0
-    avg_window: int = 1
+    avg_window: int = 0  # buffered entries per update; 0 means one epoch's iterations
     d_scale: float = 0.1
     dot_normalization: str = "raw"  # raw | cosine
 
     def __post_init__(self):
         if not self.eta > 0:
             raise ConfigError("eta must be > 0", field="adalase.eta")
-        if self.avg_window < 1:
-            raise ConfigError("avg_window must be >= 1", field="adalase.avg_window")
+        if self.avg_window < 0:
+            raise ConfigError("avg_window must be >= 0", field="adalase.avg_window")
         if not 0 < self.d_scale < 1:
             raise ConfigError("d_scale must be in (0,1)", field="adalase.d_scale")
         if self.dot_normalization not in ("raw", "cosine"):
@@ -157,13 +157,13 @@ def averaged_update(ratios, window_buffer, cfg):
 
 
 def schedule_ratios(schedule, num_positions):
-    """Static ratio vectors for the non-adaptive baselines."""
+    """Static ratio vector of ``schedule`` (a ``RatioSchedule``) over the positions."""
     k = num_positions
-    shape = schedule.shape if isinstance(schedule, RatioSchedule) else schedule
+    shape = schedule.shape
     if shape == "uniform" or shape == "adaptive":
         q = np.full(k, 1.0 / k)
     elif shape == "fixed":
-        idx = schedule.fixed_index if isinstance(schedule, RatioSchedule) else 0
+        idx = schedule.fixed_index
         if not 0 <= idx < k:
             raise ConfigError(f"fixed index {idx} out of range for {k} positions")
         q = np.zeros(k)

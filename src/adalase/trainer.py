@@ -4,8 +4,8 @@ Each iteration (adaptive mode): compute the pseudo-validation gradient at the
 current weights, sample a tap position from the acceptance ratios, take a
 momentum-SGD step on the tap-augmented training loss, and buffer the inner
 product of the two gradients. A full buffer is flushed into one averaged ratio
-update: ``avg_window`` entries, or one epoch's iterations under the "epoch"
-cadence. Cosine annealing drives the learning rate. Separate seeded rng
+update: ``adalase.avg_window`` entries, or one epoch's iterations when it is 0
+(the default). Cosine annealing drives the learning rate. Separate seeded rng
 streams back position sampling, augmentation, pseudo-validation draws, the
 uniform audit counterfactual, and probing, so enabling one feature never
 perturbs another.
@@ -72,8 +72,6 @@ class TrainConfig:
     adalase: AdaLaseConfig = field(default_factory=AdaLaseConfig)
     seed: int = 0
     val_mode: str = "pseudo"  # pseudo | true
-    ratio_updates: bool = True
-    update_cadence: str = "epoch"  # epoch | window
     probe: bool = False
     eval_batch_size: int = 256
 
@@ -104,9 +102,6 @@ class TrainConfig:
                               f"got {self.pseudo_val_aug.kind!r}", field="pseudo_val_aug")
         if self.val_mode not in ("pseudo", "true"):
             raise ConfigError("val_mode must be 'pseudo' or 'true'", field="val_mode")
-        if self.update_cadence not in ("epoch", "window"):
-            raise ConfigError("update_cadence must be 'epoch' or 'window'",
-                              field="update_cadence")
 
 
 def check_mixing_batches(cfg, n_train, n_probe):
@@ -255,11 +250,10 @@ def train(net, splits, cfg, train_seed=None):
     total_steps = cfg.epochs * iters_per_epoch
     k = net.num_taps
     adaptive = cfg.schedule.shape == "adaptive"
-    d = cfg.adalase.d_scale / k
     if adaptive:
         ratios = init_ratios(k, cfg.adalase.d_scale)
     else:
-        ratios = AcceptanceRatios(q=schedule_ratios(cfg.schedule, k), d=d)
+        ratios = AcceptanceRatios(q=schedule_ratios(cfg.schedule, k), d=cfg.adalase.d_scale / k)
 
     opt = OptimizerState(velocity=np.zeros_like(net.theta), momentum=cfg.momentum,
                          base_lr=cfg.base_lr, current_lr=cfg.base_lr,
@@ -273,8 +267,7 @@ def train(net, splits, cfg, train_seed=None):
         log.warning("no validation split: val_mode 'true' batches and probes use the test split")
     pseudo_source, pseudo_aug = ((val_source, AugSpec(kind="none")) if cfg.val_mode == "true"
                                  else (train_set, cfg.pseudo_val_aug))
-    window = cfg.adalase.avg_window if cfg.update_cadence == "window" else iters_per_epoch
-    updating = adaptive and cfg.ratio_updates
+    window = cfg.adalase.avg_window or iters_per_epoch
     audit = SelectionAudit()
     buffer = []
     report = []
@@ -296,7 +289,7 @@ def train(net, splits, cfg, train_seed=None):
                 pseudo_losses.append(ploss)
             audit.selected.append(l)
             audit.uniform_selected.append(int(uniform_rng.integers(0, k)))
-            if updating:
+            if adaptive:
                 buffer.append((l, dot))
                 if len(buffer) >= window:
                     ratios = averaged_update(ratios, buffer, cfg.adalase)

@@ -92,8 +92,8 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"dataset.train_count": 0}, "dataset.train_count"),
     ({"dataset.test_count": 0}, "dataset.test_count"),
     ({"dataset.subsample_count": 50}, "dataset.subsample_count"),  # train_count is 40
+    ({"train.adalase.avg_window": -1}, "train.adalase.avg_window"),
     # keys the run would ignore
-    ({"train.adalase.avg_window": 4}, "train.adalase.avg_window"),
     ({"train.val_mode": "true", "train.pseudo_val_aug.degree_range": 30.0},
      "train.pseudo_val_aug"),
     # every point of a sweep is checked before any point runs
@@ -122,8 +122,6 @@ def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field)
         ("train.adalase.dot_normalization", "cosine", "fixed"),
         ("train.val_mode", "true", "uniform"),
         ("train.pseudo_val_aug", {"degree_range": 30.0}, "uniform"),
-        ("train.ratio_updates", False, "mountain"),
-        ("train.update_cadence", "window", "uniform"),
         ("train.schedule.fixed_index", 1, "uniform"))])
 def test_key_the_schedule_never_reads_is_rejected(tmp_path, capsys, key, value, shape):
     cfg = write_config(tmp_path, {key: value, "train.schedule.shape": shape})
@@ -135,24 +133,6 @@ def test_key_the_schedule_never_reads_is_rejected(tmp_path, capsys, key, value, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [
-    pytest.param(key, value, id=key) for key, value in (
-        ("train.adalase.eta", 3.0),
-        ("train.adalase.avg_window", 5),
-        ("train.adalase.d_scale", 0.5),
-        ("train.adalase.dot_normalization", "cosine"),
-        ("train.update_cadence", "window"))])
-def test_key_a_frozen_adaptive_run_never_reads_is_rejected(tmp_path, capsys, key, value):
-    # with ratio_updates false the ratios never move: these keys only feed updates
-    cfg = write_config(tmp_path, {key: value, "train.ratio_updates": False})
-    out = tmp_path / "run"
-    for argv in (["validate", "--config", cfg], ["train", "--config", cfg, "--out", str(out)]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {key}: {key.rsplit('.', 1)[-1]} is read only under ratio_updates true")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("overrides", [
     {"dataset.synthetic_kind": "two_gaussians", "dataset.side": 1},
     {"model.hidden": 1},
@@ -161,7 +141,7 @@ def test_key_a_frozen_adaptive_run_never_reads_is_rejected(tmp_path, capsys, key
     # a one-sample batch is fine for a kind that does not mix
     {"dataset.train_count": 41, "train.batch_size": 40,
      "train.train_aug.kind": "cutout"},
-    {"train.update_cadence": "window", "train.adalase.avg_window": 4},
+    {"train.adalase.avg_window": 4},
 ])
 def test_edge_configs_that_train_are_accepted(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
@@ -206,6 +186,10 @@ def test_unknown_keys_rejected_with_dotted_path():
     # the synthetic size is the sum of the split counts; ``n`` is no longer a key
     with pytest.raises(ConfigError, match=r"unknown key 'dataset\.n'"):
         validate_config({"dataset": {"n": 1200}})
+    # the ratios always move, and ``adalase.avg_window`` alone sets the flush window
+    for key, value in (("ratio_updates", False), ("update_cadence", "window")):
+        with pytest.raises(ConfigError, match=rf"unknown key 'train\.{key}'"):
+            validate_config({"train": {key: value}})
 
 
 def test_missing_dataset_path_rejected(tmp_path, capsys):

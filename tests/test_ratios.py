@@ -44,7 +44,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         AdaLaseConfig(eta=0.0)
     with pytest.raises(ConfigError):
-        AdaLaseConfig(avg_window=0)
+        AdaLaseConfig(avg_window=-1)
     with pytest.raises(ConfigError):
         AdaLaseConfig(d_scale=1.0)
     with pytest.raises(ConfigError):
@@ -221,7 +221,7 @@ def test_multi_position_window_stays_valid():
 # ---- schedules ----------------------------------------------------------------
 
 def test_schedule_uniform():
-    assert np.allclose(schedule_ratios("uniform", 6), np.full(6, 1 / 6))
+    assert np.allclose(schedule_ratios(RatioSchedule(shape="uniform"), 6), np.full(6, 1 / 6))
 
 
 def test_schedule_fixed_one_hot():
@@ -230,17 +230,19 @@ def test_schedule_fixed_one_hot():
 
 
 def test_schedule_linear_increasing():
-    assert np.allclose(schedule_ratios("linear_inc", 3), [1 / 6, 2 / 6, 3 / 6])
+    assert np.allclose(schedule_ratios(RatioSchedule(shape="linear_inc"), 3),
+                       [1 / 6, 2 / 6, 3 / 6])
 
 
 def test_schedule_linear_decreasing():
-    assert np.allclose(schedule_ratios("linear_dec", 3), [3 / 6, 2 / 6, 1 / 6])
+    assert np.allclose(schedule_ratios(RatioSchedule(shape="linear_dec"), 3),
+                       [3 / 6, 2 / 6, 1 / 6])
 
 
 def test_schedule_mountain_and_valley_shapes():
-    mountain = schedule_ratios("mountain", 6)
+    mountain = schedule_ratios(RatioSchedule(shape="mountain"), 6)
     assert mountain.argmax() in (2, 3) and mountain[0] == mountain[-1]
-    valley = schedule_ratios("valley", 6)
+    valley = schedule_ratios(RatioSchedule(shape="valley"), 6)
     assert valley.argmin() in (2, 3) and valley[0] == valley[-1]
     assert valley[0] == valley.max()
     for q in (mountain, valley):

@@ -245,9 +245,9 @@ def test_ratio_history_has_one_snapshot_per_epoch_plus_init():
 
 def test_window_cadence_stays_on_bounded_simplex():
     splits = small_splits()
-    ada = AdaLaseConfig(eta=0.5, avg_window=2)
-    window = train(tiny_mlp(15), splits, quick_config(update_cadence="window", adalase=ada))
-    epoch = train(tiny_mlp(15), splits, quick_config(adalase=ada))
+    window = train(tiny_mlp(15), splits,
+                   quick_config(adalase=AdaLaseConfig(eta=0.5, avg_window=2)))
+    epoch = train(tiny_mlp(15), splits, quick_config())
     d = window.final_ratios.d
     for q in window.ratio_history:
         assert sum(q) == pytest.approx(1.0, abs=1e-9)
@@ -260,8 +260,8 @@ def test_window_cadence_stays_on_bounded_simplex():
 def test_epoch_cadence_is_a_window_of_one_epoch(batch_size):
     splits = small_splits()
     runs = []
-    for cadence, window in (("epoch", 1), ("window", math.ceil(80 / batch_size))):
-        cfg = quick_config(epochs=3, batch_size=batch_size, update_cadence=cadence,
+    for window in (0, math.ceil(80 / batch_size)):  # 0 is the default: one epoch
+        cfg = quick_config(epochs=3, batch_size=batch_size,
                            adalase=AdaLaseConfig(eta=0.5, avg_window=window))
         r = train(tiny_mlp(20), splits, cfg)
         runs.append((r.ratio_history, r.audit.selected, [rec.train_loss for rec in r.report]))
