@@ -17,7 +17,7 @@ from .data import (gen_synthetic, load_cifar_bin, load_idx, load_raw,
                    split_dataset, subsample)
 from .engine.builders import build_network
 from .errors import ConfigError
-from .trainer import Splits, TrainConfig, check_mixing_batches
+from .trainer import Splits, TrainConfig, check_sample_counts
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
@@ -167,8 +167,8 @@ def validate_config(raw):
         _check(read or _at(tr, key) == _at(DEFAULTS["train"], key),
                f"{key.rsplit('.', 1)[-1]} is read only under {when}", f"train.{key}")
     if synthetic:
-        check_mixing_batches(train_cfg, ds["subsample_count"] or ds["train_count"],
-                             ds["val_count"] or ds["test_count"])
+        check_sample_counts(train_cfg, ds["subsample_count"] or ds["train_count"],
+                            ds["val_count"] or ds["test_count"])
     mdl = cfg["model"]
     _check(mdl["kind"] in ("mlp", "tiny_cnn"), f"unknown model kind {mdl['kind']!r}",
            "model.kind")

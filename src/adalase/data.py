@@ -244,12 +244,13 @@ def batch_iter(ds, batch_size, seed, epoch):
 
 def pseudo_val_batch(ds, batch_size, aug, rng):
     """Fresh draw from ``ds`` with an input-space augmentation applied at P0;
-    kind "none" returns the draw as is, without dispatching."""
+    kind "none" returns the draw as is, without dispatching. The one-hot
+    labels have the images' dtype."""
     if aug.kind in MIXING_KINDS:
         raise PolicyError(f"pseudo-validation augmentation must be input-space, "
                           f"got {aug.kind!r}")
     idx = rng.choice(len(ds), size=min(batch_size, len(ds)), replace=False)
-    labels = one_hot(ds.labels[idx], ds.num_classes)
+    labels = one_hot(ds.labels[idx], ds.num_classes, ds.images.dtype)
     if aug.kind == "none":
         return ds.images[idx], labels
     outcome = apply_at_position(aug, ds.images[idx], labels, rng, position=0)

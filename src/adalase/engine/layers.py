@@ -223,9 +223,13 @@ class MaxPool2x2(Layer):
         if keep:
             # arg counts the corners before the first one equal to the max or NaN
             arg = np.zeros(y.size, dtype=np.int8)
-            before = True
+            before = np.ones(y.size, dtype=bool)
+            test = np.empty_like(before)
             for t in range(3):
-                before = before & (q[t] != y) & (q[t] == q[t])
+                np.not_equal(q[t], y, out=test)
+                before &= test
+                np.equal(q[t], q[t], out=test)
+                before &= test
                 arg += before
             self._arg = arg.reshape(c, ho, wo, b).transpose(3, 0, 1, 2)
         self._x_shape = x.shape

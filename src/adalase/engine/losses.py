@@ -28,16 +28,22 @@ def one_hot(class_ids, num_classes, dtype=np.float64):
 def cross_entropy(logits, soft_labels):
     """Mean soft-label cross entropy with max-subtraction stabilization.
 
-    Returns (loss, dloss/dlogits). The products and the gradient are formed in
-    place on the function's own temporaries, after casting them to the dtype
-    that mixing them with the labels promotes to: the same IEEE operations as
+    Returns (loss, dloss/dlogits). The row max is a fold of ``maximum`` over
+    the class columns, the same operations in the same order as
+    ``logits.max(axis=1)`` (NaN rows and signed zeros included) without a
+    per-row inner loop. The products and the gradient are formed in place on
+    the function's own temporaries, after casting them to the dtype that
+    mixing them with the labels promotes to: the same IEEE operations as
     ``-(labels * log_probs).sum() / batch`` and ``(probs - labels) / batch``.
     """
     logits = np.asarray(logits)
     soft_labels = check_soft_labels(soft_labels)
     if logits.shape != soft_labels.shape:
         raise ShapeError(f"logits {logits.shape} vs labels {soft_labels.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    row_max = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    shifted = logits - row_max[:, None]
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(total)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .. import augment
 from ..errors import ShapeError, StateError, TapRangeError
 from .losses import cross_entropy
 
@@ -90,9 +91,6 @@ class Network:
         layers keep nothing for backward, and a later ``backward`` raises
         StateError; so does one after a forward that raised.
         """
-        # looked up at call time: perfbench's tracer swaps ``augment.apply_at_position``
-        from ..augment import apply_at_position
-
         self._forward_ready = False
         x = np.asarray(x, dtype=self.theta.dtype)
         labels = np.asarray(labels, dtype=self.theta.dtype)
@@ -110,7 +108,8 @@ class Network:
         cur_labels = labels
         for i, layer in enumerate(self.layers):
             if apply_aug and i == tap_layer:
-                outcome = apply_at_position(aug, cur, cur_labels, rng, position=tap)
+                # looked up per call: perfbench's tracer swaps ``augment.apply_at_position``
+                outcome = augment.apply_at_position(aug, cur, cur_labels, rng, position=tap)
                 cur = outcome.tensor
                 cur_labels = outcome.labels
                 aug_grad_fn = outcome.grad_fn

@@ -13,7 +13,7 @@ perturbs another.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -104,14 +104,22 @@ class TrainConfig:
             raise ConfigError("val_mode must be 'pseudo' or 'true'", field="val_mode")
 
 
-def check_mixing_batches(cfg, n_train, n_probe):
-    """Reject a mixing ``train_aug`` whose batching leaves a one-sample batch.
+def check_sample_counts(cfg, n_train, n_probe):
+    """Reject a config that ``n_train`` training samples cannot serve.
 
-    ``n_train`` training samples go in batches of ``batch_size``; with
-    ``probe``, the ``n_probe`` validation-source samples go in batches of
-    ``eval_batch_size``. The last of n samples in batches of b is alone when
-    n = 1 (mod b).
+    The run has ``epochs`` times ceil(n_train / batch_size) iterations, and an
+    ``adalase.avg_window`` longer than that never fills, so the ratios would
+    never move (a trailing partial window is dropped). A mixing ``train_aug``
+    cannot mix a one-sample batch: ``n_train`` samples go in batches of
+    ``batch_size`` and, with ``probe``, the ``n_probe`` validation-source
+    samples in batches of ``eval_batch_size``. The last of n samples in
+    batches of b is alone when n = 1 (mod b).
     """
+    total = cfg.epochs * math.ceil(n_train / cfg.batch_size)
+    if cfg.adalase.avg_window > total:
+        raise ConfigError(f"avg_window {cfg.adalase.avg_window} exceeds the run's {total} "
+                          "iterations, so the ratios would never update",
+                          field="train.adalase.avg_window")
     if cfg.train_aug.kind not in MIXING_KINDS:
         return
     for name, what, n, size, used in (
@@ -182,7 +190,7 @@ def dataset_loss(net, ds, batch_size=256, tap=None, aug=None, rng=None):
     total = 0.0
     for start in range(0, len(ds), batch_size):
         x = ds.images[start : start + batch_size]
-        y = one_hot(ds.labels[start : start + batch_size], ds.num_classes)
+        y = one_hot(ds.labels[start : start + batch_size], ds.num_classes, net.theta.dtype)
         _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng, keep=False)
         total += loss * x.shape[0]
     return total / len(ds)
@@ -233,17 +241,26 @@ def adalase_iteration(net, train_batch, pseudo_batch, ratios, opt, cfg,
 
 
 def train(net, splits, cfg, train_seed=None):
-    """Run the full loop; deterministic given (seed, config, data)."""
-    train_set = splits.train
+    """Run the full loop; deterministic given (seed, config, data).
+
+    Each split's images are cast to ``net.theta``'s dtype once per run, into
+    new datasets (none is copied that has it already; ``splits`` is left as
+    it is), and every one-hot label matrix is built in that dtype, so no pass
+    converts its batch.
+    """
+    dtype = net.theta.dtype
+    train_set, test_set, val_set = (
+        ds if ds is None else replace(ds, images=ds.images.astype(dtype, copy=False))
+        for ds in (splits.train, splits.test, splits.val))
     if len(train_set) == 0:
         raise ConfigError("training dataset is empty")
-    if len(splits.test) == 0:
+    if len(test_set) == 0:
         raise ConfigError("test dataset is empty")
-    counts = {ds.num_classes for ds in (train_set, splits.test, splits.val) if ds is not None}
+    counts = {ds.num_classes for ds in (train_set, test_set, val_set) if ds is not None}
     if len(counts) > 1:
         raise ConfigError(f"splits disagree on the class count: {sorted(counts)}")
-    val_source = splits.val if splits.val is not None else splits.test
-    check_mixing_batches(cfg, len(train_set), len(val_source))
+    val_source = val_set if val_set is not None else test_set
+    check_sample_counts(cfg, len(train_set), len(val_source))
     seed = cfg.seed if train_seed is None else train_seed
     num_classes = train_set.num_classes
     iters_per_epoch = math.ceil(len(train_set) / cfg.batch_size)
@@ -261,14 +278,15 @@ def train(net, splits, cfg, train_seed=None):
     pos_rng = np.random.default_rng([seed, _POS])
     aug_rng = np.random.default_rng([seed, _AUG])
     pseudo_rng = np.random.default_rng([seed, _PSEUDO])
-    uniform_rng = np.random.default_rng([seed, _UNIFORM])
 
-    if splits.val is None and ((adaptive and cfg.val_mode == "true") or cfg.probe):
+    if val_set is None and ((adaptive and cfg.val_mode == "true") or cfg.probe):
         log.warning("no validation split: val_mode 'true' batches and probes use the test split")
     pseudo_source, pseudo_aug = ((val_source, AugSpec(kind="none")) if cfg.val_mode == "true"
                                  else (train_set, cfg.pseudo_val_aug))
     window = cfg.adalase.avg_window or iters_per_epoch
-    audit = SelectionAudit()
+    # the uniform counterfactual in one call: the same draws, one per iteration
+    uniform = np.random.default_rng([seed, _UNIFORM]).integers(0, k, size=total_steps)
+    audit = SelectionAudit(uniform_selected=uniform.tolist())
     buffer = []
     report = []
     ratio_history = [tuple(ratios.q)]
@@ -276,7 +294,7 @@ def train(net, splits, cfg, train_seed=None):
     for epoch in range(cfg.epochs):
         losses, pseudo_losses = [], []
         for it, (bx, by) in enumerate(batch_iter(train_set, cfg.batch_size, seed, epoch)):
-            labels = one_hot(by, num_classes)
+            labels = one_hot(by, num_classes, dtype)
             pseudo_batch = (pseudo_val_batch(pseudo_source, cfg.batch_size, pseudo_aug,
                                              pseudo_rng) if adaptive else None)
             try:
@@ -288,7 +306,6 @@ def train(net, splits, cfg, train_seed=None):
             if ploss is not None:
                 pseudo_losses.append(ploss)
             audit.selected.append(l)
-            audit.uniform_selected.append(int(uniform_rng.integers(0, k)))
             if adaptive:
                 buffer.append((l, dot))
                 if len(buffer) >= window:
@@ -302,14 +319,14 @@ def train(net, splits, cfg, train_seed=None):
                                        range(k), probe_rng,
                                        batch_size=cfg.eval_batch_size)
             audit.worst_by_epoch.append(int(np.argmax(probe)))
-        val_loss = dataset_loss(net, splits.val, cfg.eval_batch_size) if splits.val is not None else None
+        val_loss = dataset_loss(net, val_set, cfg.eval_batch_size) if val_set is not None else None
         record = EpochRecord(
             epoch=epoch,
             lr=cosine_lr(opt.t, total_steps, cfg.base_lr),
             train_loss=float(np.mean(losses)),
             pseudo_loss=float(np.mean(pseudo_losses)) if pseudo_losses else None,
             val_loss=val_loss,
-            test_acc=evaluate(net, splits.test, cfg.eval_batch_size),
+            test_acc=evaluate(net, test_set, cfg.eval_batch_size),
             q=tuple(ratios.q),
             probe_losses=tuple(probe) if probe is not None else None,
         )

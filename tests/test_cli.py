@@ -104,6 +104,12 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"sweep": None}, "sweep"),
     ({"sweep": {"train.adalase": [{"eta": 2.0}]}}, "sweep"),
     ({"sweep": {"out_dir": ["a", "b"]}}, "sweep"),  # each point's out_dir is derived
+    # a flush window longer than the run never fills: 40 samples in batches of 16
+    # are 3 iterations an epoch, and a subsample of 16 is one
+    ({"train.adalase.avg_window": 4}, "train.adalase.avg_window"),
+    ({"train.epochs": 2, "train.adalase.avg_window": 100000}, "train.adalase.avg_window"),
+    ({"dataset.subsample_count": 16, "train.adalase.avg_window": 2},
+     "train.adalase.avg_window"),
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -141,7 +147,8 @@ def test_key_the_schedule_never_reads_is_rejected(tmp_path, capsys, key, value, 
     # a one-sample batch is fine for a kind that does not mix
     {"dataset.train_count": 41, "train.batch_size": 40,
      "train.train_aug.kind": "cutout"},
-    {"train.adalase.avg_window": 4},
+    {"train.adalase.avg_window": 3},  # the run's 3 iterations: one flush
+    {"train.epochs": 2, "train.adalase.avg_window": 6},
 ])
 def test_edge_configs_that_train_are_accepted(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
@@ -199,6 +206,22 @@ def test_missing_dataset_path_rejected(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # no partial outputs
+
+
+def test_flush_window_longer_than_a_raw_datasets_run_fails_in_train(tmp_path, capsys):
+    # validate cannot count a file's rows; train rejects before writing anything
+    save_raw(gen_synthetic("striped_patches", 40, seed=0, side=4), str(tmp_path / "tr.raw"))
+    save_raw(gen_synthetic("striped_patches", 20, seed=1, side=4), str(tmp_path / "te.raw"))
+    out = tmp_path / "run"
+    for window, code in ((4, 2), (3, 0)):  # 40 samples in batches of 16: 3 iterations
+        cfg = write_config(tmp_path, {"dataset.kind": "raw",
+                                      "dataset.path": str(tmp_path / "tr.raw"),
+                                      "dataset.test_path": str(tmp_path / "te.raw"),
+                                      "train.adalase.avg_window": window})
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert capsys.readouterr().err.startswith("error: train.adalase.avg_window: ")
 
 
 def test_raw_dataset_honours_val_count(tmp_path):

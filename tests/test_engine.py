@@ -80,8 +80,11 @@ def test_cross_entropy_bytes_match_reference(dtype, labels_dtype):
             soft = rng.dirichlet(np.ones(c), size=b)
             hard = one_hot(rng.integers(0, c, size=b), c)
             wide = rng.choice([-1e4, 1e4], size=(b, c))
+            with_nan = rng.normal(0, 3, (b, c))
+            with_nan[b // 2, b % c] = np.nan  # a NaN row max, at column 0 for some (b, c)
             for logits, labels in ((rng.normal(0, 3, (b, c)), soft),
-                                   (rng.normal(0, 3, (b, c)), hard), (wide, hard), (wide, soft)):
+                                   (rng.normal(0, 3, (b, c)), hard), (wide, hard), (wide, soft),
+                                   (with_nan, soft)):
                 logits = logits.astype(dtype)
                 labels = labels.astype(dtype if labels_dtype == "same" else labels_dtype)
                 before = logits.tobytes(), labels.tobytes()

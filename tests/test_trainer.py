@@ -13,6 +13,7 @@ from adalase.data import Dataset, gen_synthetic, pseudo_val_batch, split_dataset
 from adalase.engine.layers import Conv2d, Dense, MaxPool2x2, ReLU, ResidualBlock
 from adalase.engine import losses
 from adalase.engine.losses import one_hot
+from adalase.engine.network import Network
 from adalase.errors import AuditError, ConfigError, NonFiniteError, StateError
 from adalase import trainer
 from adalase.ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule, init_ratios,
@@ -216,6 +217,16 @@ def test_training_is_seed_deterministic():
     assert [r.__dict__ for r in a.report] == [r.__dict__ for r in b.report]
     assert a.ratio_history == b.ratio_history
     assert a.audit.selected == b.audit.selected
+
+
+def test_uniform_counterfactual_is_one_draw_per_iteration_from_its_stream():
+    # train takes the whole run's uniform draws in one call; that must equal a
+    # scalar draw per iteration from the run's own uniform stream
+    result = train(tiny_mlp(11), small_splits(), quick_config(epochs=3, seed=4))
+    rng = np.random.default_rng([4, trainer._UNIFORM])
+    k = len(result.final_ratios.q)
+    assert result.audit.uniform_selected == [int(rng.integers(0, k))
+                                             for _ in range(result.audit.n_all)]
 
 
 def test_training_loss_decreases_on_separable_toy():
@@ -506,3 +517,44 @@ def test_float32_network_computes_in_float32(monkeypatch, model, aug):
     assert names == ({"Conv2d", "ReLU", "MaxPool2x2"} if model == "tiny_cnn" else {"ReLU"})
     assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
 
+
+@pytest.mark.parametrize("net_dtype,data_dtype", [(np.float32, np.float64),
+                                                  (np.float64, np.float32)])
+def test_train_hands_the_network_batches_in_its_dtype(monkeypatch, net_dtype, data_dtype):
+    # every pass train makes gets its input and labels in theta's dtype already:
+    # forward_with_tap serves the training, pseudo-validation, probe and val-loss
+    # passes (told apart by keep and tap), predict serves evaluate
+    seen = {}
+    original_forward, original_predict = Network.forward_with_tap, Network.predict
+    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True):
+        what = {(True, True): "training", (True, False): "pseudo-validation",
+                (False, True): "probe", (False, False): "val loss"}[keep, tap is not None]
+        seen.setdefault(what, set()).update((x.dtype, labels.dtype))
+        return original_forward(self, x, labels, tap=tap, aug=aug, rng=rng, keep=keep)
+    def predict(self, x):
+        seen.setdefault("evaluate", set()).add(x.dtype)
+        return original_predict(self, x)
+    monkeypatch.setattr(Network, "forward_with_tap", forward_with_tap)
+    monkeypatch.setattr(Network, "predict", predict)
+
+    full = gen_synthetic("striped_patches", 150, 0, side=4, noise=0.05)
+    tr, va, te = (replace(ds, images=ds.images.astype(data_dtype))
+                  for ds in split_dataset(full, 80, 30, 40, 0))
+    net = tiny_mlp(26, dtype=net_dtype)
+    train(net, Splits(train=tr, test=te, val=va), quick_config(epochs=1, probe=True))
+    assert seen == {what: {np.dtype(net_dtype)} for what in (
+        "training", "pseudo-validation", "probe", "val loss", "evaluate")}
+
+
+def test_train_leaves_the_callers_splits_unchanged():
+    full = gen_synthetic("striped_patches", 150, 0, side=4, noise=0.05)
+    tr, va, te = split_dataset(full, 80, 30, 40, 0)
+    splits = Splits(train=tr, test=te, val=va)
+    before = [(ds.images, ds.labels, ds.images.tobytes(), ds.labels.tobytes())
+              for ds in (tr, te, va)]
+    train(tiny_mlp(27, dtype=np.float32), splits, quick_config(epochs=1, probe=True))
+    assert splits.train is tr and splits.test is te and splits.val is va
+    for ds, (images, labels, image_bytes, label_bytes) in zip((tr, te, va), before):
+        assert ds.images is images and ds.labels is labels
+        assert images.dtype == np.float64
+        assert images.tobytes() == image_bytes and labels.tobytes() == label_bytes
