@@ -239,7 +239,7 @@ def batch_iter(ds, batch_size, seed, epoch):
     order = rng.permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start : start + batch_size]
-        yield ds.images[idx], ds.labels[idx]
+        yield ds.images.take(idx, axis=0), ds.labels[idx]
 
 
 def pseudo_val_batch(ds, batch_size, aug, rng):
@@ -250,8 +250,9 @@ def pseudo_val_batch(ds, batch_size, aug, rng):
         raise PolicyError(f"pseudo-validation augmentation must be input-space, "
                           f"got {aug.kind!r}")
     idx = rng.choice(len(ds), size=min(batch_size, len(ds)), replace=False)
-    labels = one_hot(ds.labels[idx], ds.num_classes, ds.images.dtype)
+    images = ds.images.take(idx, axis=0)
+    labels = one_hot(ds.labels[idx], ds.num_classes, images.dtype)
     if aug.kind == "none":
-        return ds.images[idx], labels
-    outcome = apply_at_position(aug, ds.images[idx], labels, rng, position=0)
+        return images, labels
+    outcome = apply_at_position(aug, images, labels, rng, position=0)
     return outcome.tensor, outcome.labels

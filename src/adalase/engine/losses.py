@@ -1,10 +1,34 @@
-"""Classification loss and flat-gradient utilities."""
+"""Classification loss and flat-gradient utilities.
+
+Row sums over a (batch, classes) matrix are a left fold over the class
+columns (``_row_sums``), one whole-column add at a time, where numpy's
+``sum(axis=1)`` would run a per-row inner loop. The fold is exact only where
+numpy adds in that order: for float32 and float64 with fewer than 8 columns,
+numpy 2.4.6 sums each row as ``((0.0 + a0) + a1) + ...``, whether the matrix
+is C- or F-ordered. From 8 columns on it sums a C-ordered row in eight
+partial sums, and it sums float16 in float32, so every other dtype or class
+count takes ``sum(axis=1)``.
+"""
+
+import functools
 
 import numpy as np
 
 from ..errors import ShapeError, ValidationError
 
 LABEL_ROW_SUM_TOL = 1e-6
+_FOLD_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _row_sums(a):
+    """``a.sum(axis=1)`` of a 2-D ``a`` with the same bytes: a column fold where
+    numpy adds in that order, ``sum(axis=1)`` elsewhere."""
+    if a.dtype not in _FOLD_DTYPES or not 0 < a.shape[1] < 8:
+        return a.sum(axis=1)
+    total = a[:, 0] + 0.0  # numpy's sum starts from +0.0, so a -0.0 row sums to +0.0
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
 
 
 def check_soft_labels(labels):
@@ -12,17 +36,24 @@ def check_soft_labels(labels):
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ShapeError(f"soft labels must be 2-D, got shape {labels.shape}")
-    worst = float(np.abs(labels.sum(axis=1) - 1.0).max(initial=0.0))
+    worst = float(np.abs(_row_sums(labels) - 1.0).max(initial=0.0))
     if not worst <= LABEL_ROW_SUM_TOL:  # a NaN row fails too
         raise ValidationError(f"soft-label rows must sum to 1 (max deviation {worst:.3e})")
     return labels
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(num_classes, dtype):
+    """Read-only ``num_classes``-square identity matrix in ``dtype``, one per key."""
+    eye = np.eye(num_classes, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
+
+
 def one_hot(class_ids, num_classes, dtype=np.float64):
+    """Rows of a cached read-only identity matrix in ``dtype``, as a fresh array."""
     ids = np.asarray(class_ids, dtype=np.int64)
-    out = np.zeros((ids.shape[0], num_classes), dtype=dtype)
-    out[np.arange(ids.shape[0]), ids] = 1.0
-    return out
+    return _identity(num_classes, np.dtype(dtype)).take(ids, axis=0)
 
 
 def cross_entropy(logits, soft_labels):
@@ -31,10 +62,13 @@ def cross_entropy(logits, soft_labels):
     Returns (loss, dloss/dlogits). The row max is a fold of ``maximum`` over
     the class columns, the same operations in the same order as
     ``logits.max(axis=1)`` (NaN rows and signed zeros included) without a
-    per-row inner loop. The products and the gradient are formed in place on
-    the function's own temporaries, after casting them to the dtype that
-    mixing them with the labels promotes to: the same IEEE operations as
-    ``-(labels * log_probs).sum() / batch`` and ``(probs - labels) / batch``.
+    per-row inner loop. The row sum is ``_row_sums``, and ``log(total)`` is
+    subtracted and ``total`` divided out one column at a time, the same IEEE
+    operations as broadcasting them. The products and the gradient are formed
+    in place on the function's own temporaries, after casting them to the
+    dtype that mixing them with the labels promotes to: the same IEEE
+    operations as ``-(labels * log_probs).sum() / batch`` and
+    ``(probs - labels) / batch``.
     """
     logits = np.asarray(logits)
     soft_labels = check_soft_labels(soft_labels)
@@ -45,9 +79,12 @@ def cross_entropy(logits, soft_labels):
         np.maximum(row_max, logits[:, j], out=row_max)
     shifted = logits - row_max[:, None]
     exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(total)
-    exp /= total  # probs
+    total = _row_sums(exp)
+    log_total = np.log(total)
+    log_probs = shifted.astype(log_total.dtype, copy=False)  # integer logits exp to a float
+    for j in range(logits.shape[1]):
+        log_probs[:, j] -= log_total
+        exp[:, j] /= total  # probs
     dtype = np.result_type(exp, soft_labels)
     log_probs = log_probs.astype(dtype, copy=False)
     log_probs *= soft_labels

@@ -222,18 +222,20 @@ def adalase_iteration(net, train_batch, pseudo_batch, ratios, opt, cfg,
     g_train = net.backward()
     for what, finite in (
             ("pseudo-validation loss", pseudo_loss is None or math.isfinite(pseudo_loss)),
-            ("training loss", math.isfinite(loss)),
-            ("pseudo-validation gradient", g_da is None or np.isfinite(g_da).all()),
-            ("training gradient", np.isfinite(g_train).all())):
+            ("training loss", math.isfinite(loss))):
         if not finite:
             raise NonFiniteError(what, l)
-    dot = None
-    if g_da is not None:
-        dot = grad_dot(g_da, g_train)
-        if cfg.adalase.dot_normalization == "cosine":
-            # the 2-norm as np.linalg.norm computes it for a 1-D float array
-            norms = np.sqrt(g_da.dot(g_da)) * np.sqrt(g_train.dot(g_train))
-            dot /= float(norms + 1e-12)
+    dot = None if g_da is None else grad_dot(g_da, g_train)
+    if dot is None or not math.isfinite(dot):
+        # a NaN or inf entry in either gradient makes the dot NaN or inf, so a
+        # finite dot clears both; an inf dot of finite gradients is buffered
+        for what, g in (("pseudo-validation gradient", g_da), ("training gradient", g_train)):
+            if g is not None and not np.isfinite(g).all():
+                raise NonFiniteError(what, l)
+    if dot is not None and cfg.adalase.dot_normalization == "cosine":
+        # the 2-norm as np.linalg.norm computes it for a 1-D float array
+        norms = np.sqrt(g_da.dot(g_da)) * np.sqrt(g_train.dot(g_train))
+        dot /= float(norms + 1e-12)
     opt.current_lr = cosine_lr(opt.t, opt.total_steps, opt.base_lr)
     sgd_momentum_step(net, g_train, opt)
     opt.t += 1

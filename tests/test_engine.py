@@ -12,6 +12,7 @@ from adalase.engine.checkpoint import load_weights, save_weights
 from adalase.engine import layers
 from adalase.engine.layers import (Conv2d, Dense, GlobalAvgPool, MaxPool2x2, ReLU, Reshape,
                                    ResidualBlock)
+from adalase.engine import losses
 from adalase.engine.losses import check_soft_labels, cross_entropy, grad_dot, one_hot
 from adalase.engine.network import Network, finite_diff_grad
 from adalase.errors import (DataFormatError, PolicyError, ShapeError, StateError,
@@ -76,7 +77,7 @@ def test_cross_entropy_bytes_match_reference(dtype, labels_dtype):
     # the batch whose 1/B is inexact, so a division cannot pass as a product
     rng = np.random.default_rng(11)
     for b in (1, 37, 64, 256):
-        for c in (2, 3, 10):
+        for c in (2, 3, 10, 5, 7, 8):
             soft = rng.dirichlet(np.ones(c), size=b)
             hard = one_hot(rng.integers(0, c, size=b), c)
             wide = rng.choice([-1e4, 1e4], size=(b, c))
@@ -95,6 +96,72 @@ def test_cross_entropy_bytes_match_reference(dtype, labels_dtype):
                 assert dlogits.dtype == ref_dlogits.dtype, where
                 assert dlogits.tobytes() == ref_dlogits.tobytes(), where
                 assert (logits.tobytes(), labels.tobytes()) == before, where
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_cross_entropy_integer_logits_match_reference(dtype):
+    logits = np.array([[3, -2, 0], [1, 1, 4]], dtype=dtype)
+    labels = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    loss, dlogits = cross_entropy(logits, labels)
+    ref_loss, ref_dlogits = _cross_entropy_reference(logits, labels)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert dlogits.dtype == ref_dlogits.dtype and dlogits.tobytes() == ref_dlogits.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_sums_are_bitwise_numpy_row_sums(dtype, order):
+    rng = np.random.default_rng(5)
+    for c in range(13):
+        for _ in range(20):
+            a = rng.normal(size=(97, c)) * 10.0 ** rng.integers(-30, 30, size=(97, c))
+            a[rng.random(a.shape) < 0.1] = -0.0
+            a[rng.random(a.shape) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+            a = np.asarray(a.astype(dtype), order=order)
+            with np.errstate(all="ignore"):
+                got, want = losses._row_sums(a), a.sum(axis=1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (c, order)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([[True, True]]),  # a bool fold would be a logical OR, 1 per row
+    np.array([[1, 1], [1, 0]]),
+    np.array([[1.0, 2.0 ** -11, 2.0 ** -11]], dtype=np.float16),  # 1 + 2**-10 summed in float32
+    np.zeros((3, 0)), np.zeros((3, 0), dtype=np.float32)])
+def test_label_rows_are_summed_as_numpy_sums_them(labels):
+    with pytest.raises(ValidationError, match="soft-label rows must sum to 1"):
+        check_soft_labels(labels)
+    with pytest.raises(ValidationError, match="soft-label rows must sum to 1"):
+        cross_entropy(np.zeros(labels.shape), labels)
+
+
+def test_integer_and_bool_one_hot_rows_pass_the_check():
+    for labels in (np.array([[1, 0], [0, 1]]), np.array([[True, False, False]])):
+        assert check_soft_labels(labels) is labels
+
+
+def _one_hot_reference(class_ids, num_classes, dtype):
+    ids = np.asarray(class_ids, dtype=np.int64)
+    out = np.zeros((ids.shape[0], num_classes), dtype=dtype)
+    out[np.arange(ids.shape[0]), ids] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_hot_is_bitwise_the_scattered_identity(dtype):
+    rng = np.random.default_rng(2)
+    for c in range(1, 11):
+        for ids in (rng.integers(0, c, size=37), [], [c - 1]):
+            got, want = one_hot(ids, c, dtype), _one_hot_reference(ids, c, dtype)
+            assert got.dtype == want.dtype and got.shape == want.shape, c
+            assert got.tobytes() == want.tobytes(), c
+
+
+def test_one_hot_returns_a_fresh_writeable_array():
+    first = one_hot([0, 1, 1], 3, np.float32)
+    assert first.flags.writeable
+    first[:] = 7.0
+    assert np.array_equal(one_hot([0, 1, 1], 3, np.float32), np.eye(3, dtype=np.float32)[[0, 1, 1]])
 
 
 def test_non_finite_label_row_fails_the_check():

@@ -16,8 +16,8 @@ from adalase.engine.losses import one_hot
 from adalase.engine.network import Network
 from adalase.errors import AuditError, ConfigError, NonFiniteError, StateError
 from adalase import trainer
-from adalase.ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule, init_ratios,
-                            sample_position)
+from adalase.ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule, averaged_update,
+                            init_ratios, sample_position)
 from adalase.trainer import (OptimizerState, SelectionAudit, Splits,
                              TrainConfig, adalase_iteration, audit_worst_layer,
                              cosine_lr, dataset_loss, evaluate,
@@ -160,20 +160,42 @@ def test_soft_labels_are_checked_once_per_loss(monkeypatch):
     assert l == 1 and len(calls) == 2
 
 
+def _poison_gradients(monkeypatch, net, values):
+    """Make ``net.backward`` set entry 5 of its n-th gradient to ``values[n]`` (None: leave it)."""
+    backward, values = net.backward, iter(values)
+    def poisoned():
+        g = backward()
+        value = next(values)
+        if value is not None:
+            g[5] = value
+        return g
+    monkeypatch.setattr(net, "backward", poisoned)
+
+
 # ReLU propagates NaN, so a NaN input row, like a NaN output bias, reaches the
-# logits and the loss: the guard fires at the loss, before any gradient
+# logits and the loss: the guard fires at the loss, before any gradient. A
+# finite dot clears both gradients, so they are scanned only when it is not
+# finite or absent; a tuple poisons the gradients (``_poison_gradients``), and
+# each case is named as a scan of both gradients named it
 @pytest.mark.parametrize("where,pseudo,what", [
     ("input", False, "training loss"), ("input", True, "pseudo-validation loss"),
-    ("bias", False, "training loss"), ("bias", True, "pseudo-validation loss")])
-def test_non_finite_value_raises_before_any_state_changes(where, pseudo, what, rng):
+    ("bias", False, "training loss"), ("bias", True, "pseudo-validation loss"),
+    ((None, np.nan), True, "training gradient"),
+    ((np.inf, None), True, "pseudo-validation gradient"),
+    ((0.0, np.inf), True, "training gradient"),  # the dot's term is inf * 0 = NaN
+    ((np.nan, np.inf), True, "pseudo-validation gradient"),
+    ((np.nan,), False, "training gradient")])
+def test_non_finite_value_raises_before_any_state_changes(monkeypatch, where, pseudo, what, rng):
     net = tiny_mlp(6)
     x = rng.normal(size=(8, 1, 4, 4))
     labels = one_hot(rng.integers(0, 2, size=8), 2)
     bad = x.copy()
     if where == "input":
         bad[3] = np.nan
-    else:
+    elif where == "bias":
         net.layers[-1].b[0] = np.nan
+    else:
+        _poison_gradients(monkeypatch, net, where)
     train_batch, pseudo_batch = ((x, labels), (bad, labels)) if pseudo else ((bad, labels), None)
     opt = OptimizerState(velocity=rng.normal(size=net.num_params()), momentum=0.9,
                          base_lr=0.01, current_lr=0.01, t=3, total_steps=10)
@@ -186,6 +208,24 @@ def test_non_finite_value_raises_before_any_state_changes(where, pseudo, what, r
     assert str(exc.value) == f"non-finite {what} at position P{position}"
     assert net.param_vector().tobytes() == theta.tobytes()
     assert np.array_equal(opt.velocity, velocity) and opt.t == 3
+
+
+def test_overflowing_dot_of_finite_gradients_is_buffered_then_dropped(monkeypatch, rng, caplog):
+    net = tiny_mlp(6, dtype=np.float32)
+    x = rng.normal(size=(8, 1, 4, 4)).astype(np.float32)
+    labels = one_hot(rng.integers(0, 2, size=8), 2, np.float32)
+    backward = net.backward
+    monkeypatch.setattr(net, "backward", lambda: np.full_like(backward(), 1e20))
+    opt = OptimizerState(velocity=np.zeros(net.num_params(), np.float32), momentum=0.9,
+                         base_lr=0.01, current_lr=0.01, total_steps=10)
+    cfg = quick_config(train_aug=AugSpec(kind="none"))
+    ratios = init_ratios(net.num_taps)
+    _, _, l, dot = adalase_iteration(net, (x, labels), (x, labels), ratios, opt, cfg,
+                                     np.random.default_rng(0), np.random.default_rng(1))
+    assert dot == math.inf and opt.t == 1 and np.isfinite(net.param_vector()).all()
+    with caplog.at_level("WARNING", logger="adalase.ratios"):
+        assert averaged_update(ratios, [(l, dot)], cfg.adalase) is ratios
+    assert "dropping non-finite buffered dot (inf)" in caplog.text
 
 
 @pytest.mark.parametrize("schedule,row_iter", [("adaptive", 0), ("uniform", 2)])
