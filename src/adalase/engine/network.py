@@ -68,19 +68,27 @@ class Network:
 
     # ---- forward / backward -------------------------------------------------
 
-    def predict(self, x):
+    def predict(self, x, taps=False):
         """Plain forward pass in ``theta``'s dtype; returns (batch, classes) logits.
 
         Layers keep no state for backward (``keep=False``) and drop what the
-        last pass kept, so a pending backward is disarmed.
+        last pass kept, so a pending backward is disarmed. With ``taps=True``
+        it returns (logits, activations), where ``activations[k]`` is the map
+        that enters tap k (the input batch at tap 0), all as read-only views:
+        what ``forward_with_tap(..., resume=True)`` starts from.
         """
         self._forward_ready = False
         cur = np.asarray(x, dtype=self.theta.dtype)
-        for layer in self.layers:
+        acts = []
+        for i, layer in enumerate(self.layers):
+            if taps and i in self.taps:
+                acts.append(_read_only(cur))
             cur = layer.forward(cur, keep=False)
-        return cur.reshape(cur.shape[0], -1)
+        logits = cur.reshape(cur.shape[0], -1)
+        return (_read_only(logits), acts) if taps else logits
 
-    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True):
+    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True,
+                         resume=False):
         """Forward pass with one optional augmentation injected at tap ``tap``.
 
         Returns (logits, loss, mixed_labels). With aug=None (or kind "none")
@@ -89,7 +97,11 @@ class Network:
         the dtype of its parameters. The labels are checked once, by the loss,
         after the layers have run. With ``keep=False`` (a loss-only pass)
         layers keep nothing for backward, and a later ``backward`` raises
-        StateError; so does one after a forward that raised.
+        StateError; so does one after a forward that raised. With
+        ``resume=True``, ``x`` is the map that enters tap ``tap`` (as
+        ``predict(..., taps=True)`` hands it back) and only the layers from
+        that tap on run, for the same loss, bitwise, as the whole pass on the
+        input that map came from. A resumed pass needs a tap and ``keep=False``.
         """
         self._forward_ready = False
         x = np.asarray(x, dtype=self.theta.dtype)
@@ -101,12 +113,15 @@ class Network:
         apply_aug = tap is not None and aug is not None and aug.kind != "none"
         if tap is not None and not (0 <= tap < self.num_taps):
             raise TapRangeError(f"tap {tap} out of range for {self.num_taps} positions")
+        if resume and (tap is None or keep):
+            raise StateError("a pass resumed at a tap needs the tap and keep=False")
 
         tap_layer = self.taps[tap] if apply_aug else -1
+        first = self.taps[tap] if resume else 0
         aug_grad_fn = None
         cur = x
         cur_labels = labels
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(self.layers[first:], first):
             if apply_aug and i == tap_layer:
                 # looked up per call: perfbench's tracer swaps ``augment.apply_at_position``
                 outcome = augment.apply_at_position(aug, cur, cur_labels, rng, position=tap)
@@ -142,6 +157,12 @@ class Network:
             self.layers[0].backward(g, input_grad=False)
         self._forward_ready = False
         return self.grad_vector()
+
+
+def _read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def finite_diff_grad(net, x, labels, eps=1e-5, tap=None, aug=None, rng_seed=None):

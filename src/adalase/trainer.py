@@ -20,7 +20,7 @@ import numpy as np
 
 from .augment import INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec
 from .data import batch_iter, pseudo_val_batch
-from .engine.losses import grad_dot, one_hot
+from .engine.losses import cross_entropy, grad_dot, one_hot
 from .errors import AuditError, ConfigError, NonFiniteError
 from .ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule,
                      averaged_update, init_ratios, sample_position,
@@ -170,35 +170,72 @@ class TrainResult:
     final_ratios: AcceptanceRatios
 
 
-def evaluate(net, test_set, batch_size=256):
-    """Argmax accuracy; ties resolve to the lowest class index."""
+@dataclass
+class CleanBatch:
+    """One batch of a clean forward: its one-hot labels and logits, and the map
+    that enters each tap (the input batch at tap 0), all read-only."""
+    labels: np.ndarray
+    logits: np.ndarray
+    taps: list
+
+
+def clean_pass(net, ds, batch_size=256):
+    """One forward over ``ds`` in batches of ``batch_size``, keeping nothing for
+    backward; returns a ``CleanBatch`` per batch.
+
+    It serves ``evaluate``, ``dataset_loss`` and ``probe_layer_losses`` on
+    ``ds`` at the same parameters and batch size, with the same results
+    bitwise as their own passes.
+    """
+    batches = []
+    for start in range(0, len(ds), batch_size):
+        labels = one_hot(ds.labels[start : start + batch_size], ds.num_classes, net.theta.dtype)
+        labels.flags.writeable = False
+        logits, taps = net.predict(ds.images[start : start + batch_size], taps=True)
+        batches.append(CleanBatch(labels, logits, taps))
+    return batches
+
+
+def evaluate(net, test_set, batch_size=256, clean=None):
+    """Argmax accuracy; ties resolve to the lowest class index.
+
+    ``clean``, a ``clean_pass`` over ``test_set``, gives the logits.
+    """
     correct = 0
-    for start in range(0, len(test_set), batch_size):
-        x = test_set.images[start : start + batch_size]
+    for i, start in enumerate(range(0, len(test_set), batch_size)):
         y = test_set.labels[start : start + batch_size]
-        logits = net.predict(x)
+        logits = (net.predict(test_set.images[start : start + batch_size]) if clean is None
+                  else clean[i].logits)
         correct += int((logits.argmax(axis=1) == y).sum())
     return correct / len(test_set)
 
 
-def dataset_loss(net, ds, batch_size=256, tap=None, aug=None, rng=None):
+def dataset_loss(net, ds, batch_size=256, tap=None, aug=None, rng=None, clean=None):
     """Mean loss over ``ds`` in batches, with ``aug`` applied at ``tap`` if given.
 
     Pure read: parameters are untouched (forward only, gradients never taken),
-    and layers keep nothing for backward.
+    and layers keep nothing for backward. ``clean``, a ``clean_pass`` over
+    ``ds``, gives the labels and the logits, or with a tap the map each pass
+    resumes from.
     """
     total = 0.0
-    for start in range(0, len(ds), batch_size):
-        x = ds.images[start : start + batch_size]
-        y = one_hot(ds.labels[start : start + batch_size], ds.num_classes, net.theta.dtype)
-        _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng, keep=False)
-        total += loss * x.shape[0]
+    for i, start in enumerate(range(0, len(ds), batch_size)):
+        if clean is None:
+            x = ds.images[start : start + batch_size]
+            y = one_hot(ds.labels[start : start + batch_size], ds.num_classes, net.theta.dtype)
+            _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng, keep=False)
+        elif tap is None:
+            loss, _ = cross_entropy(clean[i].logits, clean[i].labels)
+        else:
+            _, loss, _ = net.forward_with_tap(clean[i].taps[tap], clean[i].labels, tap=tap,
+                                              aug=aug, rng=rng, keep=False, resume=True)
+        total += loss * min(batch_size, len(ds) - start)
     return total / len(ds)
 
 
-def probe_layer_losses(net, val_set, aug, positions, rng, batch_size=256):
+def probe_layer_losses(net, val_set, aug, positions, rng, batch_size=256, clean=None):
     """Validation loss of the current snapshot with ``aug`` applied at each position."""
-    return [dataset_loss(net, val_set, batch_size, tap=pos, aug=aug, rng=rng)
+    return [dataset_loss(net, val_set, batch_size, tap=pos, aug=aug, rng=rng, clean=clean)
             for pos in positions]
 
 
@@ -314,21 +351,27 @@ def train(net, splits, cfg, train_seed=None):
                     ratios = averaged_update(ratios, buffer, cfg.adalase)
                     buffer = []
 
-        probe = None
+        probe = clean = None
         if cfg.probe:
+            # one clean pass over the validation source serves the probes and
+            # whichever of val_loss and test_acc reads that source
+            clean = clean_pass(net, val_source, cfg.eval_batch_size)
             probe_rng = np.random.default_rng([seed, _PROBE, epoch])
             probe = probe_layer_losses(net, val_source, cfg.train_aug,
                                        range(k), probe_rng,
-                                       batch_size=cfg.eval_batch_size)
+                                       batch_size=cfg.eval_batch_size, clean=clean)
             audit.worst_by_epoch.append(int(np.argmax(probe)))
-        val_loss = dataset_loss(net, val_set, cfg.eval_batch_size) if val_set is not None else None
+        val_loss = (dataset_loss(net, val_set, cfg.eval_batch_size, clean=clean)
+                    if val_set is not None else None)
+        test_acc = evaluate(net, test_set, cfg.eval_batch_size,
+                            clean=clean if val_set is None else None)
         record = EpochRecord(
             epoch=epoch,
             lr=cosine_lr(opt.t, total_steps, cfg.base_lr),
             train_loss=float(np.mean(losses)),
             pseudo_loss=float(np.mean(pseudo_losses)) if pseudo_losses else None,
             val_loss=val_loss,
-            test_acc=evaluate(net, test_set, cfg.eval_batch_size),
+            test_acc=test_acc,
             q=tuple(ratios.q),
             probe_losses=tuple(probe) if probe is not None else None,
         )

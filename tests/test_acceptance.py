@@ -215,11 +215,11 @@ def test_acceptance_lower_limit_does_not_change_ranking(capsys):
 
 # 7 -----------------------------------------------------------------------------
 
-def test_acceptance_simplex_invariant_fuzz(capsys):
+def test_acceptance_simplex_invariant_fuzz(capsys, caplog):
     """One million ratio updates with adversarial dot magnitudes never leave
     the bounded simplex, in under a minute."""
     import logging
-    logging.getLogger("adalase.ratios").setLevel(logging.ERROR)
+    caplog.set_level(logging.ERROR, logger="adalase.ratios")  # restored after the test
     rng = np.random.default_rng(7)
     n = 1_000_000
     k = 6

@@ -108,6 +108,101 @@ def test_cross_entropy_integer_logits_match_reference(dtype):
     assert dlogits.dtype == ref_dlogits.dtype and dlogits.tobytes() == ref_dlogits.tobytes()
 
 
+# The loss as it stood before its call count was cut, kept verbatim as a byte
+# oracle: a row fold started from +0.0, a copied row max, and a result_type
+# round trip whatever the labels' dtype.
+
+_ORACLE_FOLD_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _row_sums_oracle(a):
+    if a.dtype not in _ORACLE_FOLD_DTYPES or not 0 < a.shape[1] < 8:
+        return a.sum(axis=1)
+    total = a[:, 0] + 0.0  # numpy's sum starts from +0.0, so a -0.0 row sums to +0.0
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _check_soft_labels_oracle(labels):
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise ShapeError(f"soft labels must be 2-D, got shape {labels.shape}")
+    worst = float(np.abs(_row_sums_oracle(labels) - 1.0).max(initial=0.0))
+    if not worst <= losses.LABEL_ROW_SUM_TOL:  # a NaN row fails too
+        raise ValidationError(f"soft-label rows must sum to 1 (max deviation {worst:.3e})")
+    return labels
+
+
+def _cross_entropy_oracle(logits, soft_labels):
+    logits = np.asarray(logits)
+    soft_labels = _check_soft_labels_oracle(soft_labels)
+    if logits.shape != soft_labels.shape:
+        raise ShapeError(f"logits {logits.shape} vs labels {soft_labels.shape}")
+    row_max = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    shifted = logits - row_max[:, None]
+    exp = np.exp(shifted)
+    total = _row_sums_oracle(exp)
+    log_total = np.log(total)
+    log_probs = shifted.astype(log_total.dtype, copy=False)  # integer logits exp to a float
+    for j in range(logits.shape[1]):
+        log_probs[:, j] -= log_total
+        exp[:, j] /= total  # probs
+    dtype = np.result_type(exp, soft_labels)
+    log_probs = log_probs.astype(dtype, copy=False)
+    log_probs *= soft_labels
+    batch = logits.shape[0]
+    loss = float(-log_probs.sum() / batch)
+    dlogits = exp.astype(dtype, copy=False)
+    dlogits -= soft_labels
+    dlogits /= batch
+    return loss, dlogits
+
+
+def _outcome(fn, logits, labels):
+    """Loss bytes, dlogits dtype and bytes, or the exception type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            loss, dlogits = fn(logits, labels)
+    except (ShapeError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return np.float64(loss).tobytes(), dlogits.dtype, dlogits.tobytes()
+
+
+@pytest.mark.parametrize("labels_dtype", ["same", "other"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_is_bitwise_the_oracle(dtype, labels_dtype):
+    # B = 1..256 over the row fold (C < 8) and numpy's sum (C >= 8); logits
+    # rows with +-inf, NaN and -0.0 (one row of only -0.0), and label rows that
+    # hold -0.0 or fail the check
+    rng = np.random.default_rng(24)
+    other = np.float64 if dtype == np.float32 else np.float32
+    for b in (1, 2, 63, 64, 144, 256):
+        for c in range(1, 10):
+            normal = rng.normal(0, 3, (b, c))
+            special = normal.copy()
+            hit = rng.random((b, c)) < 0.15
+            special[hit] = rng.choice([np.inf, -np.inf, np.nan, -0.0], size=hit.sum())
+            special[0] = -0.0
+            wide = rng.choice([-1e4, 1e4], size=(b, c))
+            hard = one_hot(rng.integers(0, c, size=b), c)
+            hard[-1] = np.where(hard[-1] == 0.0, -0.0, 1.0)
+            bad = rng.dirichlet(np.ones(c), size=b)
+            bad[b // 2, c // 2] = rng.choice([np.nan, np.inf, -np.inf, 2.0])
+            zero = hard.copy()
+            zero[0] = -0.0  # a label row of only -0.0 sums to zero: it fails the check
+            for logits in (normal, special, wide):
+                for labels in (rng.dirichlet(np.ones(c), size=b), hard, bad, zero):
+                    logits = logits.astype(dtype)
+                    labels = labels.astype(dtype if labels_dtype == "same" else other)
+                    before = logits.tobytes(), labels.tobytes()
+                    got = _outcome(cross_entropy, logits, labels)
+                    assert got == _outcome(_cross_entropy_oracle, logits, labels), (b, c)
+                    assert (logits.tobytes(), labels.tobytes()) == before, (b, c)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_sums_are_bitwise_numpy_row_sums(dtype, order):
@@ -120,6 +215,8 @@ def test_row_sums_are_bitwise_numpy_row_sums(dtype, order):
             a = np.asarray(a.astype(dtype), order=order)
             with np.errstate(all="ignore"):
                 got, want = losses._row_sums(a), a.sum(axis=1)
+            if 1 < c < 8:  # the fold starts from a0 + a1: a row of only -0.0 sums to -0.0
+                want[(a == 0).all(axis=1) & np.signbit(a).all(axis=1)] = -0.0
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (c, order)
 
 
@@ -533,6 +630,19 @@ def test_tap_out_of_range_raises(rng):
     with pytest.raises(TapRangeError):
         net.forward_with_tap(np.zeros((1, 1, 4, 4)), one_hot([0], 2),
                              tap=5, aug=AugSpec(kind="cutout"), rng=rng)
+
+
+def test_a_resumed_pass_needs_a_tap_and_keeps_nothing(rng):
+    # a resumed pass never ran the layers before its tap, so it cannot arm backward
+    net = tiny_mlp(8)
+    x, y = rng.normal(size=(2, 1, 4, 4)), one_hot([0, 1], 2)
+    _, acts = net.predict(x, taps=True)
+    for tap, keep in ((None, False), (1, True)):
+        with pytest.raises(StateError, match="resumed"):
+            net.forward_with_tap(acts[1], y, tap=tap, keep=keep, resume=True)
+    _, want, _ = net.forward_with_tap(x, y, keep=False)
+    _, got, _ = net.forward_with_tap(acts[1], y, tap=1, keep=False, resume=True)
+    assert got == want
 
 
 def test_input_rank_and_batch_checks():

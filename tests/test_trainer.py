@@ -392,6 +392,35 @@ def test_probe_never_touches_parameters(rng):
     assert before == after
 
 
+@pytest.mark.parametrize("kind", ["cutout", "mixup"])
+@pytest.mark.parametrize("with_val", [False, True])
+@pytest.mark.parametrize("model", ["mlp", "tiny_cnn"])
+def test_epoch_end_shares_one_clean_pass_bitwise(model, with_val, kind):
+    # with probe on, one clean pass over the validation source serves the probes
+    # (each resumed at its tap; hidden-tap mixup reads batch-innermost CNN maps)
+    # and whichever of val_loss and test_acc reads that source
+    full = gen_synthetic("striped_patches", 150, 0, side=4, noise=0.05)
+    tr, va, te = split_dataset(full, 80, 30, 40, 0)
+    va = va if with_val else None
+    net = {"mlp": tiny_mlp, "tiny_cnn": tiny_cnn}[model](28, side=4, dtype=np.float32)
+    aug = AugSpec(kind=kind, alpha=1.0, mask_fraction=0.5)
+    cfg = quick_config(epochs=1, probe=True, train_aug=aug, eval_batch_size=16)
+    record = train(net, Splits(train=tr, test=te, val=va), cfg).report[-1]
+    src = te if va is None else va
+    rng = np.random.default_rng([cfg.seed, trainer._PROBE, 0])
+    want = [dataset_loss(net, src, 16, tap=p, aug=aug, rng=rng) for p in range(net.num_taps)]
+    assert record.probe_losses == tuple(want)
+    assert record.test_acc == evaluate(net, te, 16)
+    assert record.val_loss == (None if va is None else dataset_loss(net, va, 16))
+    clean = trainer.clean_pass(net, src, 16)
+    assert [len(batch.taps) for batch in clean] == [net.num_taps] * math.ceil(len(src) / 16)
+    for batch in clean:
+        for cached in (batch.labels, batch.logits, *batch.taps):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[...] = 0
+    assert src.images.flags.writeable  # tap 0 is a read-only view, not the split itself
+
+
 # ---- selection audit --------------------------------------------------------------
 
 def _audit(selected, uniform, worst):
@@ -562,20 +591,29 @@ def test_float32_network_computes_in_float32(monkeypatch, model, aug):
                                                   (np.float64, np.float32)])
 def test_train_hands_the_network_batches_in_its_dtype(monkeypatch, net_dtype, data_dtype):
     # every pass train makes gets its input and labels in theta's dtype already:
-    # forward_with_tap serves the training, pseudo-validation, probe and val-loss
-    # passes (told apart by keep and tap), predict serves evaluate
+    # forward_with_tap serves the training and pseudo-validation passes (told
+    # apart by tap) and the probes (resumed at a tap); with probe on, the clean
+    # predict over the val split, whose logits and labels reach the trainer's
+    # cross_entropy, serves the val loss; a plain predict serves evaluate
     seen = {}
     original_forward, original_predict = Network.forward_with_tap, Network.predict
-    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True):
-        what = {(True, True): "training", (True, False): "pseudo-validation",
-                (False, True): "probe", (False, False): "val loss"}[keep, tap is not None]
+    original_loss = trainer.cross_entropy
+    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True,
+                         resume=False):
+        what = {(True, True, False): "training", (True, False, False): "pseudo-validation",
+                (False, True, True): "probe"}[keep, tap is not None, resume]
         seen.setdefault(what, set()).update((x.dtype, labels.dtype))
-        return original_forward(self, x, labels, tap=tap, aug=aug, rng=rng, keep=keep)
-    def predict(self, x):
-        seen.setdefault("evaluate", set()).add(x.dtype)
-        return original_predict(self, x)
+        return original_forward(self, x, labels, tap=tap, aug=aug, rng=rng, keep=keep,
+                                resume=resume)
+    def predict(self, x, taps=False):
+        seen.setdefault("val loss" if taps else "evaluate", set()).add(x.dtype)
+        return original_predict(self, x, taps=taps)
+    def cross_entropy(logits, labels):
+        seen.setdefault("val loss", set()).update((logits.dtype, labels.dtype))
+        return original_loss(logits, labels)
     monkeypatch.setattr(Network, "forward_with_tap", forward_with_tap)
     monkeypatch.setattr(Network, "predict", predict)
+    monkeypatch.setattr(trainer, "cross_entropy", cross_entropy)
 
     full = gen_synthetic("striped_patches", 150, 0, side=4, noise=0.05)
     tr, va, te = (replace(ds, images=ds.images.astype(data_dtype))
