@@ -15,7 +15,7 @@ import os
 
 from .data import (gen_synthetic, load_cifar_bin, load_idx, load_raw,
                    split_dataset, subsample)
-from .engine.builders import build_network
+from .engine.builders import TAPS, build_network
 from .errors import ConfigError
 from .trainer import Splits, TrainConfig, check_sample_counts
 
@@ -179,6 +179,10 @@ def validate_config(raw):
                "model.hidden")
     else:
         _check(mdl["width"] >= 1, "width must be >= 1", "model.width")
+    k = len(TAPS[mdl["kind"]])
+    _check(shape != "fixed" or tr["schedule"]["fixed_index"] < k,
+           f"fixed index {tr['schedule']['fixed_index']} out of range for {k} positions",
+           "train.schedule.fixed_index")
     if mdl["init_checkpoint"]:
         _check(os.path.exists(mdl["init_checkpoint"]),
                f"path does not exist: {mdl['init_checkpoint']}", "model.init_checkpoint")

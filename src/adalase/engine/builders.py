@@ -6,6 +6,9 @@ from .layers import (Conv2d, Dense, GlobalAvgPool, MaxPool2x2, ReLU, Reshape,
                      ResidualBlock)
 from .network import Network
 
+# the layer index each tap marks, per model kind
+TAPS = {"mlp": (0, 3), "tiny_cnn": (0, 2, 3, 5)}
+
 
 def build_mlp(input_shape, hidden, num_classes, seed, dtype=np.float64):
     """Two-layer MLP with taps at the input (P0) and the hidden activation (P1).
@@ -24,7 +27,7 @@ def build_mlp(input_shape, hidden, num_classes, seed, dtype=np.float64):
         ReLU(),                                      # 2
         Dense(hidden, num_classes, rng, dtype=dtype),  # 3  <- P1 before it
     ]
-    return Network(layers, taps=[0, 3])
+    return Network(layers, taps=TAPS["mlp"])
 
 
 def build_tiny_cnn(input_shape, num_classes, seed, width=8, dtype=np.float64):
@@ -43,7 +46,7 @@ def build_tiny_cnn(input_shape, num_classes, seed, width=8, dtype=np.float64):
         GlobalAvgPool(),                                # 5       <- P3 before it
         Dense(width, num_classes, rng, dtype=dtype),    # 6
     ]
-    return Network(layers, taps=[0, 2, 3, 5])
+    return Network(layers, taps=TAPS["tiny_cnn"])
 
 
 def build_network(model_cfg, input_shape, num_classes, seed):

@@ -6,7 +6,9 @@ declaration order: name length (u32 LE), UTF-8 name, rank (u64 LE), dims
 """
 
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -16,18 +18,29 @@ MAGIC = b"ADLW"
 VERSION = 1
 
 
+def atomic_write(path, data):
+    """Write ``data``, bytes or text (as UTF-8), to ``path`` through a temp file
+    in its directory and a rename: ``path`` holds its old contents until all of
+    ``data`` is written, and a failed write leaves no temp file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_weights(net, path):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, p in net.named_params():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<Q", p.ndim))
-            for d in p.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    parts = [MAGIC, struct.pack("<I", VERSION)]
+    for name, p in net.named_params():
+        raw = name.encode("utf-8")
+        parts += [struct.pack("<I", len(raw)), raw, struct.pack("<Q", p.ndim),
+                  *(struct.pack("<Q", d) for d in p.shape),
+                  np.ascontiguousarray(p, dtype="<f8").tobytes()]
+    atomic_write(path, b"".join(parts))
 
 
 def read_exact(fh, n, what):

@@ -87,21 +87,19 @@ class Network:
         logits = cur.reshape(cur.shape[0], -1)
         return (_read_only(logits), acts) if taps else logits
 
-    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True,
-                         resume=False):
+    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, resume=False):
         """Forward pass with one optional augmentation injected at tap ``tap``.
 
         Returns (logits, loss, mixed_labels). With aug=None (or kind "none")
         or tap=None the result is bitwise identical to a tapless pass. Input
         and labels are cast to ``theta``'s dtype, so the network computes in
         the dtype of its parameters. The labels are checked once, by the loss,
-        after the layers have run. With ``keep=False`` (a loss-only pass)
-        layers keep nothing for backward, and a later ``backward`` raises
-        StateError; so does one after a forward that raised. With
-        ``resume=True``, ``x`` is the map that enters tap ``tap`` (as
-        ``predict(..., taps=True)`` hands it back) and only the layers from
-        that tap on run, for the same loss, bitwise, as the whole pass on the
-        input that map came from. A resumed pass needs a tap and ``keep=False``.
+        after the layers have run. A ``backward`` after a forward that raised
+        raises StateError. With ``resume=True``, ``x`` is the map that enters
+        tap ``tap`` (as ``predict(..., taps=True)`` hands it back) and only the
+        layers from that tap on run, for the same loss, bitwise, as the whole
+        pass on the input that map came from. A resumed pass needs a tap; it
+        keeps nothing for backward, so a later ``backward`` raises StateError.
         """
         self._forward_ready = False
         x = np.asarray(x, dtype=self.theta.dtype)
@@ -113,8 +111,8 @@ class Network:
         apply_aug = tap is not None and aug is not None and aug.kind != "none"
         if tap is not None and not (0 <= tap < self.num_taps):
             raise TapRangeError(f"tap {tap} out of range for {self.num_taps} positions")
-        if resume and (tap is None or keep):
-            raise StateError("a pass resumed at a tap needs the tap and keep=False")
+        if resume and tap is None:
+            raise StateError("a pass resumed at a tap needs the tap")
 
         tap_layer = self.taps[tap] if apply_aug else -1
         first = self.taps[tap] if resume else 0
@@ -128,7 +126,7 @@ class Network:
                 cur = outcome.tensor
                 cur_labels = outcome.labels
                 aug_grad_fn = outcome.grad_fn
-            cur = layer.forward(cur, keep=keep)
+            cur = layer.forward(cur, keep=not resume)
 
         logits = cur.reshape(cur.shape[0], -1)
         loss, dlogits = cross_entropy(logits, cur_labels)
@@ -136,7 +134,7 @@ class Network:
         self._logits_shape = cur.shape
         self._tap_layer = tap_layer
         self._aug_grad_fn = aug_grad_fn
-        self._forward_ready = keep
+        self._forward_ready = not resume
         return logits, loss, cur_labels
 
     def backward(self):

@@ -55,6 +55,8 @@ class RatioSchedule:
     def __post_init__(self):
         if self.shape not in SCHEDULE_SHAPES:
             raise ConfigError(f"unknown schedule shape {self.shape!r}", field="schedule.shape")
+        if self.fixed_index < 0:
+            raise ConfigError("fixed_index must be >= 0", field="schedule.fixed_index")
 
 
 def init_ratios(num_positions, d_scale=0.1):

@@ -3,21 +3,8 @@
 import csv
 import hashlib
 import json
-import os
-import tempfile
 
-
-def atomic_write_text(path, text):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .engine.checkpoint import atomic_write
 
 
 def _csv_text(header, rows):
@@ -44,25 +31,24 @@ def write_metrics_csv(result, path):
                      f"{rec.test_acc:.6f}"]
                     + [f"{q:.12g}" for q in rec.q]
                     + [p if p == "" else f"{p:.10g}" for p in probe])
-    atomic_write_text(path, _csv_text(header, rows))
+    atomic_write(path, _csv_text(header, rows))
 
 
 def write_ratio_csv(result, path):
-    k = len(result.ratio_history[0])
+    k = len(result.report[0].q)
     header = ["epoch"] + [f"q_{i}" for i in range(k)] + [f"selected_{i}" for i in range(k)]
-    epochs = len(result.ratio_history) - 1
-    iters = len(result.audit.selected) // max(epochs, 1)
+    iters = len(result.audit.selected) // len(result.report)
     rows = []
-    for e in range(epochs):
+    for e, rec in enumerate(result.report):
         window = result.audit.selected[e * iters : (e + 1) * iters]
         hist = [window.count(i) for i in range(k)]
-        rows.append([e] + [f"{q:.12g}" for q in result.ratio_history[e + 1]] + hist)
-    atomic_write_text(path, _csv_text(header, rows))
+        rows.append([e] + [f"{q:.12g}" for q in rec.q] + hist)
+    atomic_write(path, _csv_text(header, rows))
 
 
 def write_audit_csv(rows, path):
     header = ["seed", "x_metric", "y_metric", "n_all"]
-    atomic_write_text(path, _csv_text(
+    atomic_write(path, _csv_text(
         header, [[seed, f"{x:.8g}", f"{y:.8g}", n] for seed, x, y, n in rows]))
 
 
@@ -75,7 +61,7 @@ def write_grid_csv(runs, path):
              f"{max(r.test_acc for r in res.report):.6f}", f"{res.report[-1].test_acc:.6f}",
              *(("", "") if xy is None else (f"{v:.8g}" for v in xy)), res.audit.n_all]
             for i, (values, res, xy) in enumerate(runs)]
-    atomic_write_text(path, _csv_text(header, rows))
+    atomic_write(path, _csv_text(header, rows))
 
 
 def content_hash(payloads):
@@ -90,6 +76,6 @@ def write_manifest(path, effective_config, seed, input_hash):
     """``val_source`` names the split that feeds ``val_mode: "true"`` and the
     probes: ``test`` unless ``dataset.val_count`` holds out a validation split."""
     val_source = "val" if effective_config["dataset"]["val_count"] else "test"
-    atomic_write_text(path, json.dumps(
+    atomic_write(path, json.dumps(
         {"config": effective_config, "seed": seed, "input_hash": input_hash,
          "val_source": val_source}, indent=2, sort_keys=True) + "\n")

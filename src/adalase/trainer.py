@@ -165,78 +165,70 @@ class SelectionAudit:
 @dataclass
 class TrainResult:
     report: list
-    ratio_history: list  # (epochs+1) snapshots of q, index 0 = init
     audit: SelectionAudit
     final_ratios: AcceptanceRatios
 
 
 @dataclass
 class CleanBatch:
-    """One batch of a clean forward: its one-hot labels and logits, and the map
-    that enters each tap (the input batch at tap 0), all read-only."""
+    """One batch of a clean forward: its one-hot labels and logits, and, for
+    the probes, the map that enters each tap (the input batch at tap 0), all
+    read-only."""
     labels: np.ndarray
     logits: np.ndarray
-    taps: list
+    taps: Optional[list]
 
 
-def clean_pass(net, ds, batch_size=256):
+def clean_pass(net, ds, batch_size=256, taps=False):
     """One forward over ``ds`` in batches of ``batch_size``, keeping nothing for
-    backward; returns a ``CleanBatch`` per batch.
+    backward; returns a ``CleanBatch`` per batch, with its tap maps if ``taps``.
 
-    It serves ``evaluate``, ``dataset_loss`` and ``probe_layer_losses`` on
-    ``ds`` at the same parameters and batch size, with the same results
-    bitwise as their own passes.
+    ``evaluate``, ``dataset_loss`` and ``probe_layer_losses`` read ``ds``
+    through it and make no forward of their own.
     """
     batches = []
     for start in range(0, len(ds), batch_size):
         labels = one_hot(ds.labels[start : start + batch_size], ds.num_classes, net.theta.dtype)
-        labels.flags.writeable = False
-        logits, taps = net.predict(ds.images[start : start + batch_size], taps=True)
-        batches.append(CleanBatch(labels, logits, taps))
+        x = ds.images[start : start + batch_size]
+        logits, maps = net.predict(x, taps=True) if taps else (net.predict(x), None)
+        labels.flags.writeable = logits.flags.writeable = False
+        batches.append(CleanBatch(labels, logits, maps))
     return batches
 
 
-def evaluate(net, test_set, batch_size=256, clean=None):
-    """Argmax accuracy; ties resolve to the lowest class index.
-
-    ``clean``, a ``clean_pass`` over ``test_set``, gives the logits.
-    """
-    correct = 0
-    for i, start in enumerate(range(0, len(test_set), batch_size)):
-        y = test_set.labels[start : start + batch_size]
-        logits = (net.predict(test_set.images[start : start + batch_size]) if clean is None
-                  else clean[i].logits)
-        correct += int((logits.argmax(axis=1) == y).sum())
-    return correct / len(test_set)
+def evaluate(clean):
+    """Argmax accuracy over ``clean``, a ``clean_pass``; ties resolve to the
+    lowest class index."""
+    correct = total = 0
+    for batch in clean:
+        correct += int((batch.logits.argmax(axis=1) == batch.labels.argmax(axis=1)).sum())
+        total += len(batch.labels)
+    return correct / total
 
 
-def dataset_loss(net, ds, batch_size=256, tap=None, aug=None, rng=None, clean=None):
-    """Mean loss over ``ds`` in batches, with ``aug`` applied at ``tap`` if given.
+def dataset_loss(clean, net=None, tap=None, aug=None, rng=None):
+    """Mean loss over ``clean``, a ``clean_pass``, weighted by batch size.
 
-    Pure read: parameters are untouched (forward only, gradients never taken),
-    and layers keep nothing for backward. ``clean``, a ``clean_pass`` over
-    ``ds``, gives the labels and the logits, or with a tap the map each pass
-    resumes from.
+    Without ``tap`` it is the loss of the cached logits. With ``tap`` each
+    batch resumes ``net`` at that tap from its cached map, with ``aug``
+    applied there. Pure read: parameters are untouched and layers keep
+    nothing for backward.
     """
     total = 0.0
-    for i, start in enumerate(range(0, len(ds), batch_size)):
-        if clean is None:
-            x = ds.images[start : start + batch_size]
-            y = one_hot(ds.labels[start : start + batch_size], ds.num_classes, net.theta.dtype)
-            _, loss, _ = net.forward_with_tap(x, y, tap=tap, aug=aug, rng=rng, keep=False)
-        elif tap is None:
-            loss, _ = cross_entropy(clean[i].logits, clean[i].labels)
+    for batch in clean:
+        if tap is None:
+            loss, _ = cross_entropy(batch.logits, batch.labels)
         else:
-            _, loss, _ = net.forward_with_tap(clean[i].taps[tap], clean[i].labels, tap=tap,
-                                              aug=aug, rng=rng, keep=False, resume=True)
-        total += loss * min(batch_size, len(ds) - start)
-    return total / len(ds)
+            _, loss, _ = net.forward_with_tap(batch.taps[tap], batch.labels, tap=tap,
+                                              aug=aug, rng=rng, resume=True)
+        total += loss * len(batch.labels)
+    return total / sum(len(batch.labels) for batch in clean)
 
 
-def probe_layer_losses(net, val_set, aug, positions, rng, batch_size=256, clean=None):
-    """Validation loss of the current snapshot with ``aug`` applied at each position."""
-    return [dataset_loss(net, val_set, batch_size, tap=pos, aug=aug, rng=rng, clean=clean)
-            for pos in positions]
+def probe_layer_losses(net, clean, aug, positions, rng):
+    """Loss of the current snapshot over ``clean``, a ``clean_pass`` that kept
+    its tap maps, with ``aug`` applied at each position."""
+    return [dataset_loss(clean, net, tap=pos, aug=aug, rng=rng) for pos in positions]
 
 
 def adalase_iteration(net, train_batch, pseudo_batch, ratios, opt, cfg,
@@ -328,7 +320,6 @@ def train(net, splits, cfg, train_seed=None):
     audit = SelectionAudit(uniform_selected=uniform.tolist())
     buffer = []
     report = []
-    ratio_history = [tuple(ratios.q)]
 
     for epoch in range(cfg.epochs):
         losses, pseudo_losses = [], []
@@ -351,20 +342,20 @@ def train(net, splits, cfg, train_seed=None):
                     ratios = averaged_update(ratios, buffer, cfg.adalase)
                     buffer = []
 
-        probe = clean = None
+        # one clean pass per split read: the validation source's serves the
+        # probes and val_loss, and test_acc too when it is the test split.
+        # No pass outlives the epoch end: kept through the next epoch, they
+        # slowed cnn-adaptive's training iterations by 1-2%.
+        val_pass = clean_pass(net, val_source, cfg.eval_batch_size, taps=cfg.probe)
+        probe = None
         if cfg.probe:
-            # one clean pass over the validation source serves the probes and
-            # whichever of val_loss and test_acc reads that source
-            clean = clean_pass(net, val_source, cfg.eval_batch_size)
             probe_rng = np.random.default_rng([seed, _PROBE, epoch])
-            probe = probe_layer_losses(net, val_source, cfg.train_aug,
-                                       range(k), probe_rng,
-                                       batch_size=cfg.eval_batch_size, clean=clean)
+            probe = probe_layer_losses(net, val_pass, cfg.train_aug, range(k), probe_rng)
             audit.worst_by_epoch.append(int(np.argmax(probe)))
-        val_loss = (dataset_loss(net, val_set, cfg.eval_batch_size, clean=clean)
-                    if val_set is not None else None)
-        test_acc = evaluate(net, test_set, cfg.eval_batch_size,
-                            clean=clean if val_set is None else None)
+        val_loss = dataset_loss(val_pass) if val_set is not None else None
+        test_acc = evaluate(val_pass if val_set is None
+                            else clean_pass(net, test_set, cfg.eval_batch_size))
+        del val_pass
         record = EpochRecord(
             epoch=epoch,
             lr=cosine_lr(opt.t, total_steps, cfg.base_lr),
@@ -376,10 +367,8 @@ def train(net, splits, cfg, train_seed=None):
             probe_losses=tuple(probe) if probe is not None else None,
         )
         report.append(record)
-        ratio_history.append(tuple(ratios.q))
 
-    return TrainResult(report=report, ratio_history=ratio_history, audit=audit,
-                       final_ratios=ratios)
+    return TrainResult(report=report, audit=audit, final_ratios=ratios)
 
 
 def audit_worst_layer(audit):

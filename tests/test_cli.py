@@ -110,6 +110,13 @@ def test_negative_eta_is_a_field_error(tmp_path, capsys):
     ({"train.epochs": 2, "train.adalase.avg_window": 100000}, "train.adalase.avg_window"),
     ({"dataset.subsample_count": 16, "train.adalase.avg_window": 2},
      "train.adalase.avg_window"),
+    # a fixed position the model has no tap for: mlp has 2 taps, tiny_cnn 4
+    ({"train.schedule.shape": "fixed", "train.schedule.fixed_index": -1},
+     "train.schedule.fixed_index"),
+    ({"train.schedule.shape": "fixed", "train.schedule.fixed_index": 2},
+     "train.schedule.fixed_index"),
+    ({"model.kind": "tiny_cnn", "train.schedule.shape": "fixed",
+      "train.schedule.fixed_index": 4}, "train.schedule.fixed_index"),
 ])
 def test_validate_rejects_what_train_rejects(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, overrides)
@@ -149,6 +156,10 @@ def test_key_the_schedule_never_reads_is_rejected(tmp_path, capsys, key, value, 
      "train.train_aug.kind": "cutout"},
     {"train.adalase.avg_window": 3},  # the run's 3 iterations: one flush
     {"train.epochs": 2, "train.adalase.avg_window": 6},
+    # the last tap of each model
+    {"train.schedule.shape": "fixed", "train.schedule.fixed_index": 1},
+    {"model.kind": "tiny_cnn", "train.schedule.shape": "fixed",
+     "train.schedule.fixed_index": 3},
 ])
 def test_edge_configs_that_train_are_accepted(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)

@@ -637,12 +637,13 @@ def test_a_resumed_pass_needs_a_tap_and_keeps_nothing(rng):
     net = tiny_mlp(8)
     x, y = rng.normal(size=(2, 1, 4, 4)), one_hot([0, 1], 2)
     _, acts = net.predict(x, taps=True)
-    for tap, keep in ((None, False), (1, True)):
-        with pytest.raises(StateError, match="resumed"):
-            net.forward_with_tap(acts[1], y, tap=tap, keep=keep, resume=True)
-    _, want, _ = net.forward_with_tap(x, y, keep=False)
-    _, got, _ = net.forward_with_tap(acts[1], y, tap=1, keep=False, resume=True)
+    with pytest.raises(StateError, match="resumed"):
+        net.forward_with_tap(acts[1], y, resume=True)
+    _, want, _ = net.forward_with_tap(x, y)
+    _, got, _ = net.forward_with_tap(acts[1], y, tap=1, resume=True)
     assert got == want
+    with pytest.raises(StateError):
+        net.backward()
 
 
 def test_input_rank_and_batch_checks():
@@ -891,6 +892,50 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
         fh.write(b"NOPE" + blob[4:])
     with pytest.raises(DataFormatError):
         load_weights(build_mlp((1, 4, 4), 4, 2, seed=0), bad)
+
+
+class _HalfWrittenFile:
+    """A file whose ``write`` stores half of the data, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["params", "write", "rename"])
+def test_a_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch, failure):
+    net = build_mlp((1, 4, 4), 4, 2, seed=0)
+    path = os.path.join(tmp_path, "w.adlw")
+    save_weights(net, path)
+    before = open(path, "rb").read()
+    other = build_mlp((1, 4, 4), 4, 2, seed=1)
+    if failure == "params":  # the second parameter cannot be read
+        params = other.named_params()
+        def named_params():
+            yield params[0]
+            raise RuntimeError("parameter read failed")
+        monkeypatch.setattr(other, "named_params", named_params)
+    with monkeypatch.context() as patch:
+        if failure == "write":
+            fdopen = os.fdopen
+            patch.setattr(os, "fdopen", lambda *a, **k: _HalfWrittenFile(fdopen(*a, **k)))
+        elif failure == "rename":
+            def replace(src, dst):
+                raise OSError("rename failed")
+            patch.setattr(os, "replace", replace)
+        with pytest.raises((RuntimeError, OSError)):
+            save_weights(other, path)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["w.adlw"]
 
 
 def test_mlp_hidden_must_be_square():

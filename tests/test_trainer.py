@@ -20,7 +20,7 @@ from adalase.ratios import (AcceptanceRatios, AdaLaseConfig, RatioSchedule, aver
                             init_ratios, sample_position)
 from adalase.trainer import (OptimizerState, SelectionAudit, Splits,
                              TrainConfig, adalase_iteration, audit_worst_layer,
-                             cosine_lr, dataset_loss, evaluate,
+                             clean_pass, cosine_lr, dataset_loss, evaluate,
                              probe_layer_losses, sgd_momentum_step, train)
 from conftest import tiny_cnn, tiny_mlp
 
@@ -29,6 +29,10 @@ def small_splits(seed=0, n=120, train_count=80, test_count=40, noise=0.05):
     full = gen_synthetic("striped_patches", n, seed, side=4, noise=noise)
     tr, _, te = split_dataset(full, train_count, 0, test_count, seed)
     return Splits(train=tr, test=te)
+
+
+# the q every two-position run starts from
+UNIFORM_Q = (0.5, 0.5)
 
 
 def quick_config(**overrides):
@@ -255,7 +259,7 @@ def test_training_is_seed_deterministic():
         results.append(train(net, splits, cfg))
     a, b = results
     assert [r.__dict__ for r in a.report] == [r.__dict__ for r in b.report]
-    assert a.ratio_history == b.ratio_history
+    assert a.final_ratios.q.tobytes() == b.final_ratios.q.tobytes()
     assert a.audit.selected == b.audit.selected
 
 
@@ -286,12 +290,19 @@ def test_fixed_schedule_selects_one_position_only():
     assert set(result.audit.selected) == {0}
 
 
-def test_ratio_history_has_one_snapshot_per_epoch_plus_init():
-    splits = small_splits()
-    cfg = quick_config(epochs=3)
-    result = train(tiny_mlp(13), splits, cfg)
-    assert len(result.ratio_history) == 4
-    assert np.allclose(result.ratio_history[0], [0.5, 0.5])
+def test_ratio_history_has_one_snapshot_per_epoch_plus_init(monkeypatch):
+    # the report holds each epoch's q; the first update starts from the uniform q
+    inputs = []
+    original_update = trainer.averaged_update
+    def update(ratios, buffer, cfg):
+        inputs.append(ratios.q.copy())
+        return original_update(ratios, buffer, cfg)
+    monkeypatch.setattr(trainer, "averaged_update", update)
+    result = train(tiny_mlp(13), small_splits(), quick_config(epochs=3))
+    assert [rec.epoch for rec in result.report] == [0, 1, 2]
+    assert [len(rec.q) for rec in result.report] == [2, 2, 2]
+    assert len(inputs) == 3 and np.array_equal(inputs[0], [0.5, 0.5])
+    assert result.report[-1].q == tuple(result.final_ratios.q)
 
 
 def test_window_cadence_stays_on_bounded_simplex():
@@ -300,11 +311,12 @@ def test_window_cadence_stays_on_bounded_simplex():
                    quick_config(adalase=AdaLaseConfig(eta=0.5, avg_window=2)))
     epoch = train(tiny_mlp(15), splits, quick_config())
     d = window.final_ratios.d
-    for q in window.ratio_history:
+    history = [rec.q for rec in window.report]
+    for q in history:
         assert sum(q) == pytest.approx(1.0, abs=1e-9)
         assert d - 1e-12 <= min(q) and max(q) <= 1.0 - d + 1e-12
-    assert window.ratio_history[-1] != window.ratio_history[0]
-    assert window.ratio_history != epoch.ratio_history
+    assert history[-1] != UNIFORM_Q
+    assert history != [rec.q for rec in epoch.report]
 
 
 @pytest.mark.parametrize("batch_size", [16, 24])  # 80 samples: 5 full batches, or 4 with a short one
@@ -315,9 +327,10 @@ def test_epoch_cadence_is_a_window_of_one_epoch(batch_size):
         cfg = quick_config(epochs=3, batch_size=batch_size,
                            adalase=AdaLaseConfig(eta=0.5, avg_window=window))
         r = train(tiny_mlp(20), splits, cfg)
-        runs.append((r.ratio_history, r.audit.selected, [rec.train_loss for rec in r.report]))
+        runs.append(([rec.q for rec in r.report], r.audit.selected,
+                     [rec.train_loss for rec in r.report]))
     assert runs[0] == runs[1]
-    assert runs[0][0][-1] != runs[0][0][0]
+    assert runs[0][0][-1] != UNIFORM_Q
 
 
 def test_true_validation_never_reads_the_test_split():
@@ -328,10 +341,10 @@ def test_true_validation_never_reads_the_test_split():
     runs = []
     for test in (te, noise):
         r = train(tiny_mlp(21), Splits(train=tr, test=test, val=va), cfg)
-        runs.append((r.ratio_history, r.audit.selected, r.audit.worst_by_epoch,
+        runs.append((r.audit.selected, r.audit.worst_by_epoch,
                      [replace(rec, test_acc=None) for rec in r.report]))
     assert runs[0] == runs[1]
-    assert runs[0][0][-1] != runs[0][0][0]
+    assert runs[0][2][-1].q != UNIFORM_Q
 
 
 def test_empty_training_set_rejected():
@@ -377,8 +390,8 @@ def test_splits_with_different_class_counts_rejected_before_training():
 def test_probe_with_identity_aug_is_position_independent(rng):
     splits = small_splits()
     net = tiny_mlp(15)
-    losses = probe_layer_losses(net, splits.test, AugSpec(kind="none"),
-                                range(net.num_taps), rng)
+    losses = probe_layer_losses(net, clean_pass(net, splits.test, taps=True),
+                                AugSpec(kind="none"), range(net.num_taps), rng)
     assert losses[0] == pytest.approx(losses[1], rel=1e-12)
 
 
@@ -386,8 +399,8 @@ def test_probe_never_touches_parameters(rng):
     splits = small_splits()
     net = tiny_mlp(16)
     before = hashlib.sha256(net.param_vector().tobytes()).hexdigest()
-    probe_layer_losses(net, splits.test, AugSpec(kind="cutout", mask_fraction=0.5),
-                       range(net.num_taps), rng)
+    probe_layer_losses(net, clean_pass(net, splits.test, taps=True),
+                       AugSpec(kind="cutout", mask_fraction=0.5), range(net.num_taps), rng)
     after = hashlib.sha256(net.param_vector().tobytes()).hexdigest()
     assert before == after
 
@@ -395,30 +408,60 @@ def test_probe_never_touches_parameters(rng):
 @pytest.mark.parametrize("kind", ["cutout", "mixup"])
 @pytest.mark.parametrize("with_val", [False, True])
 @pytest.mark.parametrize("model", ["mlp", "tiny_cnn"])
-def test_epoch_end_shares_one_clean_pass_bitwise(model, with_val, kind):
-    # with probe on, one clean pass over the validation source serves the probes
-    # (each resumed at its tap; hidden-tap mixup reads batch-innermost CNN maps)
-    # and whichever of val_loss and test_acc reads that source
+def test_epoch_end_shares_one_clean_pass_bitwise(monkeypatch, model, with_val, kind):
+    # train makes one clean pass per split it reads: the validation source's
+    # serves the probes (each resumed at its tap; hidden-tap mixup reads
+    # batch-innermost CNN maps) and val_loss, and test_acc too when it is the
+    # test split; the oracle is plain predict and forward_with_tap passes
     full = gen_synthetic("striped_patches", 150, 0, side=4, noise=0.05)
     tr, va, te = split_dataset(full, 80, 30, 40, 0)
     va = va if with_val else None
-    net = {"mlp": tiny_mlp, "tiny_cnn": tiny_cnn}[model](28, side=4, dtype=np.float32)
-    aug = AugSpec(kind=kind, alpha=1.0, mask_fraction=0.5)
-    cfg = quick_config(epochs=1, probe=True, train_aug=aug, eval_batch_size=16)
-    record = train(net, Splits(train=tr, test=te, val=va), cfg).report[-1]
     src = te if va is None else va
-    rng = np.random.default_rng([cfg.seed, trainer._PROBE, 0])
-    want = [dataset_loss(net, src, 16, tap=p, aug=aug, rng=rng) for p in range(net.num_taps)]
-    assert record.probe_losses == tuple(want)
-    assert record.test_acc == evaluate(net, te, 16)
-    assert record.val_loss == (None if va is None else dataset_loss(net, va, 16))
-    clean = trainer.clean_pass(net, src, 16)
-    assert [len(batch.taps) for batch in clean] == [net.num_taps] * math.ceil(len(src) / 16)
-    for batch in clean:
-        for cached in (batch.labels, batch.logits, *batch.taps):
-            with pytest.raises(ValueError, match="read-only"):
-                cached[...] = 0
-    assert src.images.flags.writeable  # tap 0 is a read-only view, not the split itself
+    aug = AugSpec(kind=kind, alpha=1.0, mask_fraction=0.5)
+    passes = []
+    original_pass = trainer.clean_pass
+    def recorded_pass(net, ds, batch_size=256, taps=False):
+        passes.append((ds, original_pass(net, ds, batch_size, taps=taps)))
+        return passes[-1][1]
+    monkeypatch.setattr(trainer, "clean_pass", recorded_pass)
+
+    def batch_mean(ds, loss_of):
+        total = 0.0
+        for start in range(0, len(ds), 16):
+            x = ds.images[start : start + 16]
+            total += loss_of(x, one_hot(ds.labels[start : start + 16], 2)) * len(x)
+        return total / len(ds)
+
+    for probe in (False, True):
+        passes.clear()
+        net = {"mlp": tiny_mlp, "tiny_cnn": tiny_cnn}[model](28, side=4, dtype=np.float32)
+        cfg = quick_config(epochs=1, probe=probe, train_aug=aug, eval_batch_size=16)
+        record = train(net, Splits(train=tr, test=te, val=va), cfg).report[-1]
+        rng = np.random.default_rng([cfg.seed, trainer._PROBE, 0])
+        want = tuple(batch_mean(src, lambda x, y: net.forward_with_tap(
+            x, y, tap=p, aug=aug, rng=rng)[1]) for p in range(net.num_taps))
+        assert record.probe_losses == (want if probe else None)
+        assert record.val_loss == (None if va is None else batch_mean(
+            va, lambda x, y: net.forward_with_tap(x, y)[1]))
+        correct = 0
+        for start in range(0, len(te), 16):
+            logits = net.predict(te.images[start : start + 16])
+            correct += int((logits.argmax(axis=1) == te.labels[start : start + 16]).sum())
+        assert record.test_acc == correct / len(te)
+        # one pass per split read, the validation source's first; only a pass
+        # a probe reads keeps tap maps
+        assert [ds.labels is src.labels for ds, _ in passes] == [True] + [False] * with_val
+        assert [ds.labels is te.labels for ds, _ in passes] == [not with_val] + [True] * with_val
+        for i, (ds, clean) in enumerate(passes):
+            assert len(clean) == math.ceil(len(ds) / 16)
+            for batch in clean:
+                assert (batch.taps is None
+                        if i > 0 or not probe else len(batch.taps) == net.num_taps)
+                for cached in (batch.labels, batch.logits, *(batch.taps or ())):
+                    with pytest.raises(ValueError, match="read-only"):
+                        cached[...] = 0
+        # tap 0 is a read-only view, not the split itself
+        assert passes[0][0].images.flags.writeable
 
 
 # ---- selection audit --------------------------------------------------------------
@@ -468,13 +511,13 @@ def test_evaluate_memorized_set_is_perfect():
                        schedule=RatioSchedule(shape="fixed", fixed_index=0))
     net = tiny_mlp(17)
     train(net, splits, cfg)
-    assert evaluate(net, splits.train) >= 0.99
+    assert evaluate(clean_pass(net, splits.train)) >= 0.99
 
 
 def test_evaluate_invariant_to_batch_size():
     splits = small_splits()
     net = tiny_mlp(18)
-    accs = {evaluate(net, splits.test, batch_size=b) for b in (1, 7, 64, 1000)}
+    accs = {evaluate(clean_pass(net, splits.test, batch_size=b)) for b in (1, 7, 64, 1000)}
     assert len(accs) == 1
 
 
@@ -484,7 +527,7 @@ def test_dataset_loss_matches_manual_mean():
     from adalase.engine.losses import cross_entropy
     y = one_hot(splits.test.labels, 2)
     expected, _ = cross_entropy(net.predict(splits.test.images), y)
-    assert dataset_loss(net, splits.test, batch_size=13) == pytest.approx(expected)
+    assert dataset_loss(clean_pass(net, splits.test, batch_size=13)) == pytest.approx(expected)
 
 
 def _leaves(net):
@@ -497,10 +540,12 @@ def _leaves(net):
 
 
 def test_evaluate_keeps_no_state_for_backward(rng):
-    # a forward-only pass drops every array backward would read; conv patches are the largest
+    # the clean pass evaluation reads drops every array backward would read;
+    # conv patches are the largest
     net = tiny_cnn(20)
     net.forward_with_tap(rng.normal(size=(4, 1, 6, 6)), one_hot([0, 1, 1, 0], 2))
-    evaluate(net, Dataset(rng.random(size=(10, 1, 6, 6)), np.arange(10) % 2, 2), batch_size=4)
+    evaluate(clean_pass(net, Dataset(rng.random(size=(10, 1, 6, 6)), np.arange(10) % 2, 2),
+                        batch_size=4))
     leaves = _leaves(net)
     assert sum(isinstance(leaf, Conv2d) for leaf in leaves) == 5
     kept = {Conv2d: "_cols", ReLU: "_mask", MaxPool2x2: "_arg", Dense: "_x2"}
@@ -512,8 +557,8 @@ def test_evaluate_keeps_no_state_for_backward(rng):
 
 
 def test_loss_only_passes_keep_no_patches():
-    # the val-loss pass and the probes only read the loss, so they keep no conv patches,
-    # and they return the same loss bitwise as passes that keep them
+    # the clean pass and the probes resumed from it only read the loss, so they keep
+    # no conv patches, and they return the same loss bitwise as passes that keep them
     splits = small_splits()
     net = tiny_cnn(24, side=4)
     convs = [leaf for leaf in _leaves(net) if isinstance(leaf, Conv2d)]
@@ -529,7 +574,8 @@ def test_loss_only_passes_keep_no_patches():
             want += loss * x.shape[0]
         want /= len(ds)
         assert all(conv._cols is not None for conv in convs)
-        got = dataset_loss(net, ds, 16, tap=tap, aug=aug, rng=np.random.default_rng(tap))
+        got = dataset_loss(clean_pass(net, ds, 16, taps=True), net, tap=tap, aug=aug,
+                           rng=np.random.default_rng(tap))
         assert got == want
         assert all(conv._cols is None for conv in convs)
         with pytest.raises(StateError):
@@ -592,19 +638,18 @@ def test_float32_network_computes_in_float32(monkeypatch, model, aug):
 def test_train_hands_the_network_batches_in_its_dtype(monkeypatch, net_dtype, data_dtype):
     # every pass train makes gets its input and labels in theta's dtype already:
     # forward_with_tap serves the training and pseudo-validation passes (told
-    # apart by tap) and the probes (resumed at a tap); with probe on, the clean
-    # predict over the val split, whose logits and labels reach the trainer's
-    # cross_entropy, serves the val loss; a plain predict serves evaluate
+    # apart by tap) and the probes (resumed at a tap); the clean pass over the
+    # val split keeps its tap maps for the probes, and its logits and labels
+    # reach the trainer's cross_entropy for the val loss; the clean pass over
+    # the test split, a plain predict, serves evaluate
     seen = {}
     original_forward, original_predict = Network.forward_with_tap, Network.predict
     original_loss = trainer.cross_entropy
-    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, keep=True,
-                         resume=False):
-        what = {(True, True, False): "training", (True, False, False): "pseudo-validation",
-                (False, True, True): "probe"}[keep, tap is not None, resume]
+    def forward_with_tap(self, x, labels, tap=None, aug=None, rng=None, resume=False):
+        what = {(True, False): "training", (False, False): "pseudo-validation",
+                (True, True): "probe"}[tap is not None, resume]
         seen.setdefault(what, set()).update((x.dtype, labels.dtype))
-        return original_forward(self, x, labels, tap=tap, aug=aug, rng=rng, keep=keep,
-                                resume=resume)
+        return original_forward(self, x, labels, tap=tap, aug=aug, rng=rng, resume=resume)
     def predict(self, x, taps=False):
         seen.setdefault("val loss" if taps else "evaluate", set()).add(x.dtype)
         return original_predict(self, x, taps=taps)
