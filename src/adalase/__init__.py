@@ -13,7 +13,7 @@ def _apply_thread_cap():
 
 _apply_thread_cap()
 
-from .augment import AugOutcome, AugSpec, apply_at_position, cutmix, cutout, mixup, rotation, translation
+from .augment import AugOutcome, AugSpec, apply_at_position, cutmix, mixup
 from .data import Dataset, batch_iter, gen_synthetic, load_cifar_bin, load_idx, pseudo_val_batch, subsample
 from .engine import (Network, build_mlp, build_tiny_cnn, cross_entropy, finite_diff_grad,
                      grad_dot, load_weights, one_hot, save_weights)

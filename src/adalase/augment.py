@@ -149,19 +149,6 @@ def _boxes(rng, b, h, w, rh, rw):
     return _box_table(h, w, rh, rw)[top, left][:, None]
 
 
-def _cutout_masked(batch, mask_fraction, rng):
-    b, _, h, w = batch.shape
-    side = int(round(mask_fraction * min(h, w)))
-    keep = (~_boxes(rng, b, h, w, side, side)).astype(batch.dtype)
-    return batch * keep, keep
-
-
-def cutout(batch, mask_fraction, rng):
-    """Zero one square region per sample; same location across channels."""
-    out, _ = _cutout_masked(np.asarray(batch), mask_fraction, rng)
-    return out
-
-
 def _sample_shifts(batch_size, shift_fraction_max, h, w, rng):
     shifts = []
     for _ in range(batch_size):
@@ -194,14 +181,6 @@ def shift(batch, dx, dy):
     return _remap(batch, np.arange(h)[:, None] - dy, np.arange(w) - dx)
 
 
-def translation(batch, shift_fraction_max, rng):
-    """Per-sample signed rigid shift with zero padding, shared across channels."""
-    batch = np.asarray(batch)
-    b, _, h, w = batch.shape
-    dx, dy = np.transpose(_sample_shifts(b, shift_fraction_max, h, w, rng))
-    return shift(batch, dx, dy)
-
-
 def cutmix(batch, labels, alpha, rng, lam=None):
     """Paste a rectangle from a permuted partner; labels mixed by area ratio."""
     batch, labels, lam, perm = _pairing(batch, labels, alpha, rng, lam)
@@ -224,12 +203,6 @@ def rotate(batch, degrees):
     sy = c + (yy - c) * cos_t + (xx - c) * sin_t
     sx = c - (yy - c) * sin_t + (xx - c) * cos_t
     return _remap(batch, np.rint(sy).astype(np.int64), np.rint(sx).astype(np.int64))
-
-
-def rotation(batch, degree_range, rng):
-    """Per-sample rotation by a uniform angle in [-degree_range, +degree_range]."""
-    batch = np.asarray(batch)
-    return rotate(batch, rng.uniform(-degree_range, degree_range, size=batch.shape[0]))
 
 
 def flip_horizontal(batch, do_flip):
@@ -258,14 +231,18 @@ def apply_at_position(spec, features, labels, rng, position=0):
     if kind == "cutmix":
         return cutmix(features, labels, spec.alpha, rng)
     if kind == "cutout":
-        out, keep = _cutout_masked(features, spec.mask_fraction, rng)
-        return AugOutcome(out, labels, 1.0, lambda g: g * keep)
+        # zero one square per sample, at the same place in every channel
+        b, _, h, w = features.shape
+        side = int(round(spec.mask_fraction * min(h, w)))
+        keep = (~_boxes(rng, b, h, w, side, side)).astype(features.dtype)
+        return AugOutcome(features * keep, labels, 1.0, lambda g: g * keep)
     if kind == "translation":
         b, _, h, w = features.shape
         dx, dy = np.transpose(_sample_shifts(b, spec.shift_fraction_max, h, w, rng))
         return AugOutcome(shift(features, dx, dy), labels, 1.0, lambda g: shift(g, -dx, -dy))
     if kind == "rotation":
-        return AugOutcome(rotation(features, spec.degree_range, rng), labels, 1.0, None)
+        degrees = rng.uniform(-spec.degree_range, spec.degree_range, size=features.shape[0])
+        return AugOutcome(rotate(features, degrees), labels, 1.0, None)
     if kind == "random_crop":
         # zero-pad by ``pad`` and crop back at offset (ox, oy): a shift by (pad-ox, pad-oy)
         ox, oy = rng.integers(0, 2 * spec.pad + 1, size=(features.shape[0], 2)).T

@@ -36,13 +36,26 @@ def _input_hash(splits):
     return content_hash(parts)
 
 
+def _check_out_dir(path):
+    """ConfigError unless ``path`` is a directory or can be made one: its
+    nearest existing ancestor, or itself, must be a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"{probe} exists and is not a directory", field="out_dir")
+
+
 def cmd_train(args):
     cfg = _load(args)
     points = cfgmod.grid_points(cfg)
+    outs = ([os.path.join(cfg["out_dir"], f"point{i}") for i in range(len(points))]
+            if len(points) > 1 else [cfg["out_dir"]])
+    for out in outs:  # before any point trains, so a bad path loses no run
+        _check_out_dir(out)
     runs = []
-    for i, (values, point) in enumerate(points):
-        out = point["out_dir"] = (os.path.join(cfg["out_dir"], f"point{i}")
-                                  if len(points) > 1 else cfg["out_dir"])
+    for (values, point), out in zip(points, outs):
+        point["out_dir"] = out
         splits = cfgmod.make_splits(point)
         net = cfgmod.make_network(point, splits)
         train_cfg = cfgmod.make_train_config(point)

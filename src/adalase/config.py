@@ -228,8 +228,8 @@ def list_presets():
 def load_config(path_or_preset):
     """Load from a JSON file path, or from a shipped preset by name."""
     preset_path = os.path.join(PRESET_DIR, f"{path_or_preset}.json")
-    path = path_or_preset if os.path.exists(path_or_preset) else preset_path
-    if not os.path.exists(path):
+    path = path_or_preset if os.path.isfile(path_or_preset) else preset_path
+    if not os.path.isfile(path):
         raise ConfigError(f"config not found: {path_or_preset!r} "
                           f"(presets: {', '.join(list_presets())})")
     with open(path) as fh:

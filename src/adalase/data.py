@@ -2,8 +2,10 @@
 
 Supported on-disk formats: IDX (big-endian, magics 2051/2049), CIFAR-10
 binary (3073-byte records), and a neutral raw-with-header interchange format
-(u32-length-prefixed JSON header followed by raw little-endian float32 pixels
-and uint16 labels).
+(u32-length-prefixed JSON header with keys ``shape``, ``dtype`` and
+``num_classes``, followed by raw little-endian float32 pixels and uint16
+labels). The labels end the raw file: a loader rejects a file that stops short
+of them or has bytes after them; header keys beyond those three are ignored.
 """
 
 import json
@@ -28,7 +30,6 @@ class Dataset:
     images: np.ndarray  # (N, C, H, W), values in [0, 1]
     labels: np.ndarray  # (N,) integer class ids
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -92,7 +93,6 @@ def save_raw(ds, path):
         "shape": list(ds.images.shape),
         "dtype": "f32le",
         "num_classes": ds.num_classes,
-        "split": ds.split,
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
@@ -125,9 +125,11 @@ def load_raw(path):
                                   f">= 1, got {num_classes!r}")
         pix = read_exact(fh, math.prod(shape) * 4, "raw-with-header pixel payload")
         lab = read_exact(fh, shape[0] * 2, "raw-with-header label payload")
+        if fh.read(1):
+            raise DataFormatError(f"{path}: raw-with-header has bytes after the labels")
     images = np.frombuffer(pix, dtype="<f4").reshape(shape)
     labels = np.frombuffer(lab, dtype="<u2").astype(np.int64)
-    return Dataset(images.copy(), labels, num_classes, split=header.get("split", "train"))
+    return Dataset(images.copy(), labels, num_classes)
 
 
 def gen_synthetic(kind, n, seed, side=8, noise=0.1, separation=4.0):
@@ -222,12 +224,12 @@ def split_dataset(ds, train_count, val_count, test_count, seed):
         raise ConfigError(f"split total {total} exceeds dataset size {len(ds)}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ds))
-    def take(offset, count, tag):
+    def take(offset, count):
         idx = perm[offset : offset + count]
-        return replace(ds, images=ds.images[idx], labels=ds.labels[idx], split=tag)
-    train = take(0, train_count, "train")
-    val = take(train_count, val_count, "val") if val_count else None
-    test = take(train_count + val_count, test_count, "test")
+        return replace(ds, images=ds.images[idx], labels=ds.labels[idx])
+    train = take(0, train_count)
+    val = take(train_count, val_count) if val_count else None
+    test = take(train_count + val_count, test_count)
     return train, val, test
 
 

@@ -21,9 +21,14 @@ VERSION = 1
 def atomic_write(path, data):
     """Write ``data``, bytes or text (as UTF-8), to ``path`` through a temp file
     in its directory and a rename: ``path`` holds its old contents until all of
-    ``data`` is written, and a failed write leaves no temp file."""
+    ``data`` is written, and a failed write leaves no temp file. The file gets
+    the mode ``open(path, "w")`` would give it, 0o666 less the umask, not the
+    temp file's 0o600."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)

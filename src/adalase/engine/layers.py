@@ -81,11 +81,11 @@ class Layer:
 
     param_names = ()
 
-    def declare_affine(self, out_features, fan_in, rng, dtype, bias):
-        """Declare weight ``w`` (out_features, fan_in) and optional bias ``b``."""
+    def declare_affine(self, out_features, fan_in, rng, dtype):
+        """Declare weight ``w`` (out_features, fan_in) and bias ``b``."""
         self.w = _uniform_init(rng, (out_features, fan_in), fan_in, dtype)
-        self.b = np.zeros(out_features, dtype=dtype) if bias else None
-        self.param_names = ("w", "b") if bias else ("w",)
+        self.b = np.zeros(out_features, dtype=dtype)
+        self.param_names = ("w", "b")
         for name in self.param_names:
             setattr(self, "g" + name, np.zeros_like(getattr(self, name)))
 
@@ -101,10 +101,10 @@ class Layer:
 
 
 class Dense(Layer):
-    def __init__(self, in_features, out_features, rng, dtype=np.float64, bias=True):
+    def __init__(self, in_features, out_features, rng, dtype=np.float64):
         self.in_features = in_features
         self.out_features = out_features
-        self.declare_affine(out_features, in_features, rng, dtype, bias)
+        self.declare_affine(out_features, in_features, rng, dtype)
         self._x2 = None
 
     def forward(self, x, keep=True):
@@ -118,16 +118,14 @@ class Dense(Layer):
         self._x2 = x2 if keep else None
         self._in_shape = x.shape
         y = x2 @ self.w.T
-        if self.b is not None:
-            y += self.b
+        y += self.b
         return y.reshape(b, self.out_features, 1, 1)
 
     def backward(self, gy, input_grad=True):
         b = gy.shape[0]
         g2 = gy.reshape(b, self.out_features)
         self.gw += g2.T @ self._x2
-        if self.b is not None:
-            self.gb += g2.sum(axis=0)
+        self.gb += g2.sum(axis=0)
         return (g2 @ self.w).reshape(self._in_shape) if input_grad else None
 
 
@@ -144,15 +142,14 @@ class Conv2d(Layer):
     ``im2col`` serves every pass.
     """
 
-    def __init__(self, in_channels, out_channels, kernel, rng, pad=0,
-                 dtype=np.float64, bias=True):
+    def __init__(self, in_channels, out_channels, kernel, rng, pad=0, dtype=np.float64):
         if not 0 <= pad < kernel:
             raise ShapeError(f"conv pad must be in [0, {kernel}), got {pad}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.pad = pad
-        self.declare_affine(out_channels, in_channels * kernel * kernel, rng, dtype, bias)
+        self.declare_affine(out_channels, in_channels * kernel * kernel, rng, dtype)
 
     def forward(self, x, keep=True):
         if x.shape[1] != self.in_channels:
@@ -162,8 +159,7 @@ class Conv2d(Layer):
         cols, ho, wo = im2col(x, k, self.pad)
         self._cols = cols if keep else None
         y = _row_gemms(self.w.reshape(self.out_channels, self.in_channels, k, k), cols, ho)
-        if self.b is not None:
-            y += self.b[:, None]
+        y += self.b[:, None]
         return y.reshape(self.out_channels, ho, wo, x.shape[0]).transpose(3, 0, 1, 2)
 
     def backward(self, gy, input_grad=True):
@@ -174,8 +170,7 @@ class Conv2d(Layer):
         gw_rows = self.gw.reshape(o, c, k, k).transpose(2, 1, 3, 0)  # (k, C, k, O) view
         for i in range(k):
             gw_rows[i] += (self._cols[:, i * n : (i + ho) * n] @ g2.T).reshape(c, k, o)
-        if self.b is not None:
-            self.gb += g2.sum(axis=1)
+        self.gb += g2.sum(axis=1)
         if not input_grad:
             return None
         gcols, h, w = im2col(gy, k, k - 1 - self.pad)

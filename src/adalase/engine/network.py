@@ -51,9 +51,6 @@ class Network:
     def named_params(self):
         return [(name, getattr(owner, attr)) for name, owner, attr in self._slots]
 
-    def num_params(self):
-        return self.theta.size
-
     def param_vector(self):
         return self.theta.copy()
 

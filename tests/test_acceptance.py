@@ -12,7 +12,7 @@ import pytest
 
 from adalase import config as cfgmod
 from adalase import trainer
-from adalase.augment import AugSpec, apply_at_position, cutout, mixup, cutmix
+from adalase.augment import AugSpec, apply_at_position, mixup, cutmix
 from adalase.data import gen_synthetic, split_dataset
 from adalase.engine.builders import build_mlp, build_tiny_cnn
 from adalase.engine.losses import grad_dot, one_hot
@@ -53,7 +53,7 @@ def test_acceptance_gradient_correctness(capsys):
         else:
             net = tiny_cnn(trial, side=6, width=2)
             x = rng.normal(size=(3, 1, 6, 6))
-        assert net.num_params() <= 10_000
+        assert net.theta.size <= 10_000
         labels = one_hot(rng.integers(0, 2, size=x.shape[0]), 2)
         aug = augs[trial % len(augs)]
         tap = None if aug is None else int(rng.integers(0, net.num_taps))
@@ -295,7 +295,7 @@ def test_acceptance_kernel_property_suite(capsys):
         b, c = int(rng.integers(1, 4)), int(rng.integers(2, 4))
         side = int(rng.integers(4, 9))
         x = rng.normal(size=(b, c, side, side)) + 10.0  # keep pixels nonzero
-        out = cutout(x, 0.5, rng)
+        out = apply_at_position(AugSpec(kind="cutout", mask_fraction=0.5), x, None, rng).tensor
         changed = out != x
         if not all(np.array_equal(changed[s, 0], changed[s, ch])
                    for s in range(b) for ch in range(1, c)):
@@ -320,7 +320,7 @@ def test_acceptance_kernel_property_suite(capsys):
         x = rng.normal(size=(b, 1, side, side))
         labels = one_hot(rng.integers(0, 2, size=b), 2)
         cases = (
-            cutout(x, 0.0, rng),
+            apply_at_position(AugSpec(kind="cutout", mask_fraction=0.0), x, labels, rng).tensor,
             mixup(x, labels, 1.0, rng, lam=1.0).tensor,
             cutmix(x, labels, 1.0, rng, lam=1.0).tensor,
             apply_at_position(AugSpec(kind="translation", shift_fraction_max=0.0),
@@ -334,7 +334,8 @@ def test_acceptance_kernel_property_suite(capsys):
         side = int(rng.integers(2, 10))
         frac = float(rng.random())
         mask_side = int(round(frac * side))
-        out = cutout(np.ones((1, 1, side, side)), frac, rng)
+        out = apply_at_position(AugSpec(kind="cutout", mask_fraction=frac),
+                                np.ones((1, 1, side, side)), None, rng).tensor
         if (out == 0).sum() != mask_side * mask_side:
             failures.append("zero count")
             break

@@ -6,12 +6,17 @@ import pytest
 
 from adalase import augment
 from adalase.augment import (INPUT_ONLY_KINDS, MIXING_KINDS, AugSpec,
-                             apply_at_position, cutmix, cutout, flip_horizontal,
-                             mixup, rotate, rotation, shift, translation)
+                             apply_at_position, cutmix, flip_horizontal, mixup,
+                             rotate, shift)
 from adalase.engine.losses import one_hot
 from adalase.errors import (ConfigError, DegenerateBatchError, PolicyError,
                             ShapeError)
 from conftest import batch_innermost_view, is_batch_innermost
+
+
+def _augmented(kind, x, rng, **params):
+    """The map that augmentation ``kind`` makes of ``x`` at the input tap."""
+    return apply_at_position(AugSpec(kind=kind, **params), x, None, rng).tensor
 
 
 # ---- spec validation --------------------------------------------------------
@@ -97,18 +102,18 @@ def test_mixup_keeps_a_batch_innermost_layout(rng, dtype):
 
 def test_cutout_exact_zero_count(rng):
     x = np.ones((1, 1, 4, 4))
-    out = cutout(x, 0.5, rng)
+    out = _augmented("cutout", x, rng, mask_fraction=0.5)
     assert (out == 0).sum() == 4 and (out == 1).sum() == 12
 
 
 def test_cutout_fraction_zero_is_identity(rng):
     x = rng.normal(size=(3, 2, 5, 5))
-    assert np.array_equal(cutout(x, 0.0, rng), x)
+    assert np.array_equal(_augmented("cutout", x, rng, mask_fraction=0.0), x)
 
 
 def test_cutout_mask_shared_across_channels(rng):
     x = np.ones((4, 3, 8, 8))
-    out = cutout(x, 0.5, rng)
+    out = _augmented("cutout", x, rng, mask_fraction=0.5)
     for s in range(4):
         zero_sets = [set(zip(*np.where(out[s, c] == 0))) for c in range(3)]
         assert zero_sets[0] == zero_sets[1] == zero_sets[2]
@@ -140,14 +145,14 @@ def test_shift_is_per_sample():
 
 def test_translation_mass_inequality(rng):
     x = np.abs(rng.normal(size=(8, 2, 6, 6)))
-    out = translation(x, 0.4, rng)
+    out = _augmented("translation", x, rng, shift_fraction_max=0.4)
     assert out.sum() <= x.sum() + 1e-12
 
 
 def test_translation_shift_shared_across_channels(rng):
     x = rng.normal(size=(4, 3, 6, 6))
-    out = translation(x, 0.4, np.random.default_rng(7))
-    ref = translation(x[:, :1], 0.4, np.random.default_rng(7))
+    out = _augmented("translation", x, np.random.default_rng(7), shift_fraction_max=0.4)
+    ref = _augmented("translation", x[:, :1], np.random.default_rng(7), shift_fraction_max=0.4)
     # re-running with the same stream on channel 0 alone reproduces channel 0
     assert np.array_equal(out[:, :1], ref)
 
@@ -242,7 +247,7 @@ def test_rotation_angle_is_per_sample(rng):
 
 def test_rotation_rejects_non_square(rng):
     with pytest.raises(ShapeError):
-        rotation(np.zeros((1, 1, 3, 4)), 10.0, rng)
+        _augmented("rotation", np.zeros((1, 1, 3, 4)), rng, degree_range=10.0)
 
 
 # ---- standard input augmentations -------------------------------------------
@@ -308,8 +313,10 @@ def test_fraction_geometry_tracks_resolution():
     # same stream on side S and side 2S: anchors agree within one pixel of
     # scaling and the zeroed area scales exactly with the map
     for seed in range(50):
-        small = cutout(np.ones((1, 1, 4, 4)), 0.5, np.random.default_rng(seed))
-        large = cutout(np.ones((1, 1, 8, 8)), 0.5, np.random.default_rng(seed))
+        small = _augmented("cutout", np.ones((1, 1, 4, 4)), np.random.default_rng(seed),
+                           mask_fraction=0.5)
+        large = _augmented("cutout", np.ones((1, 1, 8, 8)), np.random.default_rng(seed),
+                           mask_fraction=0.5)
         assert (small == 0).sum() == 4 and (large == 0).sum() == 16
         sr, sc = [idx.min() for idx in np.where(small[0, 0] == 0)]
         lr, lc = [idx.min() for idx in np.where(large[0, 0] == 0)]

@@ -244,7 +244,6 @@ def test_raw_dataset_honours_val_count(tmp_path):
                                               "dataset.val_count": 30}))
     splits = make_splits(cfg)
     assert (len(splits.train), len(splits.val), len(splits.test)) == (70, 30, 20)
-    assert splits.val.split == "val"
     cfg["dataset"]["val_count"] = 100
     with pytest.raises(ConfigError, match="dataset.val_count"):
         make_splits(cfg)
@@ -289,6 +288,28 @@ def test_loaded_config_shares_no_dict_with_defaults_or_the_next_load():
     assert again["train"]["schedule"]["shape"] == DEFAULTS["train"]["schedule"]["shape"]
     assert again["train"]["pseudo_val_aug"] == DEFAULTS["train"]["pseudo_val_aug"]
     assert again["model"]["kind"] == "mlp"
+
+
+@pytest.mark.parametrize("name", ["", "absent.json"])
+def test_config_that_is_no_file_is_not_found(tmp_path, capsys, name):
+    # a directory, like a missing path, is neither a config file nor a preset
+    assert main(["validate", "--config", str(tmp_path / name)]) == 2
+    assert capsys.readouterr().err.startswith("error: config not found: ")
+
+
+@pytest.mark.parametrize("out_rel,sweep", [("taken", False), ("taken/run", False),
+                                           ("run", True)])
+def test_out_that_is_no_directory_is_rejected_before_training(tmp_path, capsys, out_rel,
+                                                              sweep):
+    # a file where the run directory, an ancestor of it, or a point directory would go
+    cfg = write_config(tmp_path, {"sweep": {"train.seed": [0, 1]}} if sweep else None)
+    taken = tmp_path / ("run/point1" if sweep else "taken")
+    taken.parent.mkdir(exist_ok=True)
+    taken.write_text("keep")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / out_rel)]) == 2
+    assert capsys.readouterr().err.startswith("error: out_dir: ")
+    assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "keep"
 
 
 def test_invalid_json_reports_location(tmp_path):

@@ -82,13 +82,22 @@ def test_cifar_bad_record_size_rejected(tmp_path):
 
 def test_raw_round_trip_is_lossless(tmp_path, rng):
     images = rng.random(size=(5, 2, 3, 3)).astype(np.float32).astype(np.float64)
-    ds = Dataset(images, rng.integers(0, 4, size=5), 4, split="val")
+    ds = Dataset(images, rng.integers(0, 4, size=5), 4)
     path = tmp_path / "ds.raw"
     save_raw(ds, str(path))
     back = load_raw(str(path))
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
-    assert back.num_classes == 4 and back.split == "val"
+    assert back.num_classes == 4
+    # a header key the loader does not read, such as an older file's "split", is ignored
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[:4])
+    header = json.loads(blob[4 : 4 + hlen])
+    assert sorted(header) == ["dtype", "num_classes", "shape"]
+    extra = json.dumps({**header, "split": "val"}).encode()
+    path.write_bytes(struct.pack("<I", len(extra)) + extra + blob[4 + hlen :])
+    again = load_raw(str(path))
+    assert np.array_equal(again.images, ds.images) and np.array_equal(again.labels, ds.labels)
 
 
 def test_raw_rejects_truncation_and_bad_header(tmp_path, rng):
@@ -104,6 +113,11 @@ def test_raw_rejects_truncation_and_bad_header(tmp_path, rng):
     bad.write_bytes(struct.pack("<I", 4) + b"oops" + blob[20:])
     with pytest.raises(DataFormatError):
         load_raw(str(bad))
+    # a header that undercounts the samples would read pixel bytes as labels
+    long = tmp_path / "long.raw"
+    long.write_bytes(blob + bytes(16))
+    with pytest.raises(DataFormatError, match="after the labels"):
+        load_raw(str(long))
 
 
 # ---- truncation -----------------------------------------------------------------------
@@ -116,7 +130,7 @@ def test_every_truncated_prefix_is_a_format_error(tmp_path, rng, kind):
     labels = np.array([2, 0, 1])
     img, lab = write_idx_pair(tmp_path, images, labels)
     ds = Dataset(rng.random(size=(3, 2, 2, 2)).astype(np.float32).astype(np.float64),
-                 labels, 3, split="test")
+                 labels, 3)
     raw = str(tmp_path / "ds.raw")
     save_raw(ds, raw)
     net = build_mlp((1, 2, 2), 4, 2, seed=0)
@@ -129,7 +143,7 @@ def test_every_truncated_prefix_is_a_format_error(tmp_path, rng, kind):
 
     def check_raw(got):
         assert np.array_equal(got.images, ds.images) and np.array_equal(got.labels, labels)
-        assert got.num_classes == 3 and got.split == "test"
+        assert got.num_classes == 3
 
     def load_ckpt(path):
         other = build_mlp((1, 2, 2), 4, 2, seed=1)
@@ -164,7 +178,8 @@ def test_raw_header_values_are_checked(tmp_path, key, value):
     def write(header):
         blob = json.dumps({"dtype": "f32le", **header}).encode("utf-8")
         path = tmp_path / "ds.raw"
-        path.write_bytes(struct.pack("<I", len(blob)) + blob + bytes(64))
+        # the payload of ``good``: one float32 pixel and one uint16 label
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + bytes(6))
         return str(path)
 
     good = {"shape": [1, 1, 1, 1], "num_classes": 2}
@@ -342,7 +357,6 @@ def test_split_disjoint_and_sized():
     ds = _ten_class_set(100)
     tr, va, te = split_dataset(ds, 60, 20, 20, seed=2)
     assert (len(tr), len(va), len(te)) == (60, 20, 20)
-    assert (tr.split, va.split, te.split) == ("train", "val", "test")
     all_rows = np.concatenate([tr.images, va.images, te.images]).reshape(100, -1)
     orig = ds.images.reshape(100, -1)
     assert np.array_equal(np.sort(all_rows, axis=0), np.sort(orig, axis=0))

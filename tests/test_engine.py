@@ -8,7 +8,7 @@ import pytest
 
 from adalase.augment import AugSpec
 from adalase.engine.builders import build_mlp, build_tiny_cnn
-from adalase.engine.checkpoint import load_weights, save_weights
+from adalase.engine.checkpoint import atomic_write, load_weights, save_weights
 from adalase.engine import layers
 from adalase.engine.layers import (Conv2d, Dense, GlobalAvgPool, MaxPool2x2, ReLU, Reshape,
                                    ResidualBlock)
@@ -293,28 +293,31 @@ def test_grad_dot_length_mismatch():
 
 def test_dense_linear_gradient_is_input():
     rng = np.random.default_rng(0)
-    layer = Dense(2, 3, rng, bias=False)
+    layer = Dense(2, 3, rng)
     x = np.array([1.0, 2.0]).reshape(1, 2, 1, 1)
     layer.forward(x)
     layer.backward(np.ones((1, 3, 1, 1)))
     assert np.allclose(layer.gw, np.array([[1.0, 2.0]] * 3))
+    assert np.array_equal(layer.gb, np.ones(3))
 
 
-def test_zero_input_biasfree_net_has_zero_gradient():
+def test_zero_input_net_has_zero_weight_gradient():
+    # a zero input and zero biases zero every activation, so no weight moves the
+    # loss; the biases do, so their gradients are not asserted
     rng = np.random.default_rng(1)
-    net = Network([Dense(4, 2, rng, bias=False), ReLU(), Dense(2, 2, rng, bias=False)],
-                  taps=[0, 2])
+    net = Network([Dense(4, 2, rng), ReLU(), Dense(2, 2, rng)], taps=[0, 2])
     x = np.zeros((2, 1, 2, 2))
     net.forward_with_tap(x, one_hot([0, 1], 2))
-    assert np.all(net.backward() == 0.0)
+    net.backward()
+    assert not net.layers[0].gw.any() and not net.layers[2].gw.any()
 
 
 def test_finite_diff_zero_for_constant_loss():
-    # zero input makes the loss independent of the weights
+    # zero input makes the loss independent of the weights, not of the bias
     rng = np.random.default_rng(2)
-    net = Network([Dense(4, 3, rng, bias=False)], taps=[0])
+    net = Network([Dense(4, 3, rng)], taps=[0])
     g = finite_diff_grad(net, np.zeros((1, 1, 2, 2)), one_hot([1], 3))
-    assert np.allclose(g, 0.0, atol=1e-9)
+    assert np.allclose(g[: net.layers[0].w.size], 0.0, atol=1e-9)
 
 
 def test_finite_diff_rejects_float32_network():
@@ -726,7 +729,7 @@ def test_mixup_at_any_tap_keeps_the_conv_stack_batch_innermost(monkeypatch, tap)
 
 def test_param_vector_round_trip(rng):
     net = tiny_cnn(1)
-    vec = rng.normal(size=net.num_params())
+    vec = rng.normal(size=net.theta.size)
     net.set_param_vector(vec)
     assert np.array_equal(net.param_vector(), vec)
     with pytest.raises(ShapeError):
@@ -742,7 +745,7 @@ def test_layer_weights_and_grads_are_views_of_flat_buffers(rng):
     names = [name for name, _ in net.named_params()]
     offset = sum(p.size for _, p in net.named_params()[:names.index("layer2.conv2.w")])
     assert np.array_equal(g[offset : offset + conv.gw.size], conv.gw.ravel())
-    net.set_param_vector(np.zeros(net.num_params()))
+    net.set_param_vector(np.zeros(net.theta.size))
     assert not conv.w.any()
 
 
@@ -858,6 +861,18 @@ def test_checkpoint_round_trip(tmp_path, rng):
         load_weights(other, path)
         assert other.theta.dtype == dtype
         assert other.theta.tobytes() == net.theta.tobytes()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_file_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # the temp file behind the rename is created 0o600; the result is 0o666 less the umask
+    path = os.path.join(tmp_path, "metrics.csv")
+    old = os.umask(umask)
+    try:
+        atomic_write(path, "epoch\n")
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == mode
 
 
 def test_checkpoint_rejects_wrong_topology(tmp_path):

@@ -97,7 +97,7 @@ def test_zero_gradient_keeps_parameters_fixed():
 
 def test_gradient_shape_mismatch_rejected():
     net = tiny_mlp(3)
-    opt = OptimizerState(velocity=np.zeros(net.num_params()), momentum=0.9,
+    opt = OptimizerState(velocity=np.zeros(net.theta.size), momentum=0.9,
                          base_lr=0.1, current_lr=0.1)
     with pytest.raises(ConfigError):
         sgd_momentum_step(net, np.zeros(3), opt)
@@ -110,7 +110,7 @@ def test_self_aligned_gradients_give_nonnegative_dot(rng):
     x = rng.normal(size=(8, 1, 4, 4))
     labels = one_hot(rng.integers(0, 2, size=8), 2)
     cfg = quick_config(train_aug=AugSpec(kind="none"))
-    opt = OptimizerState(velocity=np.zeros(net.num_params()), momentum=0.9,
+    opt = OptimizerState(velocity=np.zeros(net.theta.size), momentum=0.9,
                          base_lr=0.01, current_lr=0.01, total_steps=10)
     ratios = init_ratios(net.num_taps)
     _, _, l, dot = adalase_iteration(net, (x, labels), (x, labels), ratios, opt,
@@ -127,7 +127,7 @@ def test_iteration_without_pseudo_batch_skips_dot(rng):
     x = rng.normal(size=(8, 1, 4, 4))
     labels = one_hot(rng.integers(0, 2, size=8), 2)
     cfg = quick_config()
-    opt = OptimizerState(velocity=np.zeros(net.num_params()), momentum=0.9,
+    opt = OptimizerState(velocity=np.zeros(net.theta.size), momentum=0.9,
                          base_lr=0.01, current_lr=0.01, total_steps=10)
     theta = net.param_vector().copy()
     loss, ploss, _, dot = adalase_iteration(net, (x, labels), None,
@@ -154,7 +154,7 @@ def test_soft_labels_are_checked_once_per_loss(monkeypatch):
     q = np.zeros(net.num_taps)
     q[1] = 1.0
     cfg = quick_config(train_aug=AugSpec(kind="mixup", alpha=1.0))
-    opt = OptimizerState(velocity=np.zeros(net.num_params()), momentum=0.9,
+    opt = OptimizerState(velocity=np.zeros(net.theta.size), momentum=0.9,
                          base_lr=0.01, current_lr=0.01, total_steps=10)
     rng = np.random.default_rng(0)
     pseudo = pseudo_val_batch(splits.test, 8, cfg.pseudo_val_aug, rng)
@@ -201,7 +201,7 @@ def test_non_finite_value_raises_before_any_state_changes(monkeypatch, where, ps
     else:
         _poison_gradients(monkeypatch, net, where)
     train_batch, pseudo_batch = ((x, labels), (bad, labels)) if pseudo else ((bad, labels), None)
-    opt = OptimizerState(velocity=rng.normal(size=net.num_params()), momentum=0.9,
+    opt = OptimizerState(velocity=rng.normal(size=net.theta.size), momentum=0.9,
                          base_lr=0.01, current_lr=0.01, t=3, total_steps=10)
     theta, velocity = net.param_vector(), opt.velocity.copy()
     with pytest.raises(NonFiniteError) as exc:
@@ -220,7 +220,7 @@ def test_overflowing_dot_of_finite_gradients_is_buffered_then_dropped(monkeypatc
     labels = one_hot(rng.integers(0, 2, size=8), 2, np.float32)
     backward = net.backward
     monkeypatch.setattr(net, "backward", lambda: np.full_like(backward(), 1e20))
-    opt = OptimizerState(velocity=np.zeros(net.num_params(), np.float32), momentum=0.9,
+    opt = OptimizerState(velocity=np.zeros(net.theta.size, np.float32), momentum=0.9,
                          base_lr=0.01, current_lr=0.01, total_steps=10)
     cfg = quick_config(train_aug=AugSpec(kind="none"))
     ratios = init_ratios(net.num_taps)
