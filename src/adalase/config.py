@@ -70,13 +70,20 @@ def _merge_strict(defaults, user, path=""):
                 raise ConfigError(f"expected an object at {dotted!r}")
             out[key] = _merge_strict(defaults[key], value, dotted)
         else:
-            # a number fits a float default; only a JSON integer fits an int default
+            # a finite number fits a float default; only a JSON integer fits an int default
             default = defaults[key]
             allowed = (int, float) if type(default) is float else type(default)
             if (not isinstance(value, allowed)
                     or isinstance(value, bool) != isinstance(default, bool)):
                 raise ConfigError(f"expected {type(default).__name__}, got {value!r}",
                                   field=dotted)
+            if type(default) is float:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # a JSON integer too large for a float
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"{key} must be a finite number", field=dotted)
             out[key] = value
     return {key: out[key] if key in out
             else _merge_strict(default, {}) if isinstance(default, dict) else default

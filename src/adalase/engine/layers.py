@@ -73,10 +73,10 @@ class Layer:
 
     ``forward`` keeps what ``backward`` needs; with ``keep=False`` (a
     forward-only pass) it keeps no arrays and drops those of the last pass.
-    ``backward`` accumulates the parameter gradients and returns the input
-    gradient. Layers with parameters take ``input_grad=False`` to skip the
-    input gradient and return None, as the network does for layer 0, whose
-    input is data.
+    ``backward`` writes the parameter gradients, each entry once, over whatever
+    ``gw``/``gb`` held, and returns the input gradient. Layers with parameters
+    take ``input_grad=False`` to skip the input gradient and return None, as
+    the network does for layer 0, whose input is data.
     """
 
     param_names = ()
@@ -124,8 +124,8 @@ class Dense(Layer):
     def backward(self, gy, input_grad=True):
         b = gy.shape[0]
         g2 = gy.reshape(b, self.out_features)
-        self.gw += g2.T @ self._x2
-        self.gb += g2.sum(axis=0)
+        np.matmul(g2.T, self._x2, out=self.gw)
+        np.add.reduce(g2, axis=0, out=self.gb)
         return (g2 @ self.w).reshape(self._in_shape) if input_grad else None
 
 
@@ -169,8 +169,8 @@ class Conv2d(Layer):
         n = wo * b  # patch columns per padded row
         gw_rows = self.gw.reshape(o, c, k, k).transpose(2, 1, 3, 0)  # (k, C, k, O) view
         for i in range(k):
-            gw_rows[i] += (self._cols[:, i * n : (i + ho) * n] @ g2.T).reshape(c, k, o)
-        self.gb += g2.sum(axis=1)
+            gw_rows[i] = (self._cols[:, i * n : (i + ho) * n] @ g2.T).reshape(c, k, o)
+        np.add.reduce(g2, axis=1, out=self.gb)
         if not input_grad:
             return None
         gcols, h, w = im2col(gy, k, k - 1 - self.pad)

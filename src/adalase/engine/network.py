@@ -41,6 +41,7 @@ class Network:
             setattr(owner, attr, self.theta[offset:end].reshape(p.shape))
             setattr(owner, "g" + attr, self.grad[offset:end].reshape(p.shape))
             offset = end
+        self._first_has_params = bool(layers[0].param_slots())
 
     @property
     def num_taps(self):
@@ -137,18 +138,19 @@ class Network:
     def backward(self):
         """Reverse pass for the last forward_with_tap; returns the flat gradient.
 
-        The input is data, so the pass stops at layer 0's parameter gradients:
-        no input gradient is formed and a tap-0 ``grad_fn`` is never applied.
+        Every layer writes its parameter gradients into ``grad`` once, so the
+        buffer is not cleared first. The input is data, so the pass stops at
+        layer 0's parameter gradients: no input gradient is formed and a tap-0
+        ``grad_fn`` is never applied.
         """
         if not self._forward_ready:
             raise StateError("backward called before forward_with_tap")
-        self.grad.fill(0)
         g = self._dlogits.reshape(self._logits_shape)
         for i in range(len(self.layers) - 1, 0, -1):
             g = self.layers[i].backward(g)
             if i == self._tap_layer and self._aug_grad_fn is not None:
                 g = self._aug_grad_fn(g)
-        if self.layers[0].param_slots():
+        if self._first_has_params:
             self.layers[0].backward(g, input_grad=False)
         self._forward_ready = False
         return self.grad_vector()

@@ -71,12 +71,25 @@ def sample_position(ratios, rng):
     """Categorical draw over positions with probabilities q.
 
     The inverse-CDF steps that ``rng.choice(K, p=q / q.sum())`` runs, without
-    its argument checks: the same draw and the same rng stream.
+    its argument checks: the same draw and the same rng stream. Only the sum
+    is numpy's (left to right below K = 8, pairwise from there); the running
+    sums, their division by the last one and the count of entries ``<= u``
+    are the arithmetic of ``np.cumsum``, ``cdf /= cdf[-1]`` and
+    ``searchsorted(u, side="right")``, done on Python floats.
     """
-    q = ratios.q
-    cdf = np.cumsum(q / q.sum())
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    total = float(ratios.q.sum())
+    cdf = []
+    c = 0.0
+    for v in ratios.q.tolist():
+        c += v / total
+        cdf.append(c)
+    u = rng.random()
+    i = 0
+    # the CDF never falls and ends at c / c = 1 > u, so this stops at the count
+    # of entries <= u
+    while cdf[i] / c <= u:
+        i += 1
+    return i
 
 
 def _project_bounded(q, d):

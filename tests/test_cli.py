@@ -184,6 +184,24 @@ def test_value_must_have_its_defaults_json_type(tmp_path, capsys, overrides, fie
     assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
 
 
+@pytest.mark.parametrize("literal", [
+    "1e999", "-1e999", "NaN", "Infinity", pytest.param("9" * 400, id="400-digit-integer")])
+@pytest.mark.parametrize("field", ["train.base_lr", "train.adalase.eta", "dataset.noise",
+                                   "train.train_aug.alpha"])
+def test_float_field_must_be_finite(tmp_path, capsys, field, literal):
+    # json reads 1e999 as inf, and NaN and Infinity as they are; the integer
+    # is too large for a float
+    cfg = write_config(tmp_path, {field: "@"})
+    path = tmp_path / "cfg.json"
+    path.write_text(path.read_text().replace('"@"', literal))
+    leaf = field.rsplit(".", 1)[-1]
+    out = tmp_path / "run"
+    for argv in (["validate", "--config", cfg], ["train", "--config", cfg, "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {field}: {leaf} must be a finite number\n"
+    assert not out.exists()
+
+
 def test_input_only_train_aug_validates_at_the_input_position(tmp_path, capsys):
     cfg = write_config(tmp_path, {"train.train_aug.kind": "rotation",
                                   "train.schedule.shape": "fixed"})

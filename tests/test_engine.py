@@ -749,6 +749,41 @@ def test_layer_weights_and_grads_are_views_of_flat_buffers(rng):
     assert not conv.w.any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build,side,tap,kind", [
+    (build, side, tap, kind) for build, side, taps in ((tiny_mlp, 4, 2), (tiny_cnn, 6, 4))
+    for tap, kind in [(None, "none")] + [(t, k) for t in range(taps)
+                                         for k in ("mixup", "cutout")]])
+def test_backward_writes_every_gradient_entry(build, side, tap, kind, dtype):
+    # backward does not clear ``grad``: each entry must be written, never added to
+    net = build(24, dtype=dtype)
+    x = np.random.default_rng(24).normal(size=(6, 1, side, side))
+    y = one_hot(np.arange(6) % 2, 2)
+    aug = AugSpec(kind=kind)
+    grads = []
+    for poison in (False, True):
+        net.forward_with_tap(x, y, tap=tap, aug=aug, rng=np.random.default_rng(5))
+        if poison:
+            net.grad.fill(np.nan)
+        grads.append(net.backward())
+    assert np.isfinite(grads[0]).all()
+    assert grads[1].tobytes() == grads[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["Dense", "Conv2d"])
+def test_a_second_backward_leaves_the_same_parameter_gradients(kind):
+    rng = np.random.default_rng(25)
+    if kind == "Dense":
+        layer, x = Dense(12, 3, rng), rng.normal(size=(4, 3, 2, 2))
+    else:
+        layer, x = Conv2d(2, 3, 3, rng, pad=1), rng.normal(size=(4, 2, 5, 5))
+    gy = rng.normal(size=layer.forward(x).shape)
+    layer.backward(gy)
+    gw, gb = layer.gw.copy(), layer.gb.copy()
+    layer.backward(gy)
+    assert layer.gw.tobytes() == gw.tobytes() and layer.gb.tobytes() == gb.tobytes()
+
+
 def _full_chain_grad(net, x_shape):
     """Flat gradient of the last forward_with_tap by the whole reverse chain:
     layer 0's input gradient included, and a tap-0 grad_fn applied to it."""

@@ -1,6 +1,7 @@
 """Acceptance-ratio state: initialization, sampling, updates, schedules."""
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,9 +67,10 @@ def test_sampling_frequencies_match_ratios():
 
 
 def test_sample_position_matches_rng_choice():
-    # the inverse CDF is what rng.choice(K, p=...) runs: same draws, same stream
+    # the inverse CDF is what rng.choice(K, p=...) runs: same draws, same stream;
+    # numpy sums q left to right below K = 8 and pairwise from there
     qrng = np.random.default_rng(5)
-    for k in range(2, 7):
+    for k in (*range(2, 10), 16):
         qs = [qrng.dirichlet(np.ones(k)) for _ in range(4)]
         with_zero = qrng.dirichlet(np.ones(k))
         with_zero[k // 2] = 0.0
@@ -79,6 +81,25 @@ def test_sample_position_matches_rng_choice():
             want = [int(ref.choice(k, p=q / q.sum())) for _ in range(2000)]
             assert got == want
             assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_position_cuts_where_numpys_cdf_does():
+    # a draw at, just below and just above every CDF entry lands where
+    # searchsorted on numpy's CDF puts it, so every CDF byte is numpy's
+    qrng = np.random.default_rng(6)
+    for _ in range(300):
+        k = int(qrng.integers(2, 21))
+        q = qrng.dirichlet(np.ones(k)) * qrng.uniform(0.5, 2.0)
+        q[qrng.integers(0, k, size=int(qrng.integers(0, k)))] = 0.0
+        r = AcceptanceRatios(q=q, d=0.0)
+        cdf = np.cumsum(q / q.sum())
+        cdf /= cdf[-1]
+        for c in cdf[:-1]:
+            for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
+                if u < 1.0:  # as rng.random() is; trailing zeros in q put 1.0 early
+                    draw = SimpleNamespace(random=lambda u=float(u): u)
+                    want = int(cdf.searchsorted(u, side="right"))
+                    assert sample_position(r, draw) == want
 
 
 def test_sampling_is_seed_deterministic():
